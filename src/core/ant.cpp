@@ -1,49 +1,16 @@
 #include "core/ant.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "graph/algorithms.hpp"
 
 namespace acolay::core {
 
 namespace {
-
-/// Chooses a layer index (1-based) from `scores` over the candidate layers
-/// [lo, lo + scores.size()). `ties` is caller-owned scratch.
-int choose_layer(std::span<const double> scores, int lo,
-                 const AcoParams& params, support::Rng& rng,
-                 std::vector<int>& ties) {
-  if (params.selection == SelectionRule::kRoulette) {
-    double total = 0.0;
-    for (const double s : scores) total += s;
-    if (total > 0.0) {
-      // Presummed overload: skips weighted_index's validation re-scan; the
-      // sum above runs in the same index order, so the draw is identical.
-      return lo + static_cast<int>(rng.weighted_index(scores, total));
-    }
-    // All-zero scores (possible with clamped tau=0): fall through to max.
-  }
-  // Greedy argmax with configurable tie-breaking.
-  double best = -1.0;
-  ties.clear();
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (scores[i] > best) {
-      best = scores[i];
-      ties.clear();
-      ties.push_back(static_cast<int>(i));
-    } else if (scores[i] == best) {
-      ties.push_back(static_cast<int>(i));
-    }
-  }
-  if (ties.size() == 1 || params.tie_break == TieBreak::kFirst) {
-    return lo + ties.front();
-  }
-  return lo + ties[rng.index(ties.size())];
-}
 
 /// How to evaluate x^e in the scoring loop. alpha and beta are almost
 /// always 0 or 1 in at least one term (the paper's production setting is
@@ -68,16 +35,171 @@ inline double pow_by_mode(double x, double exponent, PowMode mode) {
   }
   // lint:allow-next-line(no-pow-in-inner-loop) -- this IS the sanctioned
   // general case behind the fast paths; every other caller goes through
-  // pow_by_mode or the per-layer eta^beta cache.
+  // pow_by_mode, the per-layer eta^beta cache or its exact memo.
   return std::pow(x, exponent);
 }
 
+/// eta(w)^beta for a layer of width w — the one expression every eta term
+/// (cached, memoised or recomputed) is evaluated with.
+inline double eta_pow(double width, double epsilon, double beta,
+                      PowMode mode) {
+  return pow_by_mode(1.0 / (epsilon + width), beta, mode);
+}
+
+/// Binds the memo to (epsilon, beta) for a walk over `num_layers` layers.
+/// A new pair (or a grown table) invalidates every slot by re-seeding it
+/// with the empty-layer width 0.0 and its exact value, so every slot is
+/// always a valid mapping and lookups need no "empty" sentinel.
+void bind_memo(EtaPowMemo& memo, double epsilon, double beta,
+               int num_layers) {
+  memo.reserve(static_cast<std::size_t>(num_layers));
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  if (memo.bound && same_bits(memo.epsilon, epsilon) &&
+      same_bits(memo.beta, beta)) {
+    return;
+  }
+  const EtaPowMemo::Slot empty_layer{
+      std::bit_cast<std::uint64_t>(0.0),
+      eta_pow(0.0, epsilon, beta, PowMode::kGeneral)};
+  std::fill(memo.slots.begin(), memo.slots.end(), empty_layer);
+  memo.bound = true;
+  memo.epsilon = epsilon;
+  memo.beta = beta;
+}
+
+/// eta(width)^beta through the memo: a Fibonacci hash of the width's bit
+/// pattern picks the slot; a miss recomputes and overwrites it.
+inline double memo_lookup(EtaPowMemo& memo, double width) {
+  const auto bits = std::bit_cast<std::uint64_t>(width);
+  EtaPowMemo::Slot& slot =
+      memo.slots[static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ULL) >>
+                                          memo.shift)];
+  if (slot.width_bits != bits) {
+    slot.width_bits = bits;
+    slot.eta_pow = eta_pow(width, memo.epsilon, memo.beta, PowMode::kGeneral);
+  }
+  return slot.eta_pow;
+}
+
+/// One vertex's candidate scan inputs, hoisted out of the layer loop. All
+/// arrays are indexed from layer 1 at element 0.
+struct ScanInput {
+  const double* tau;    ///< the vertex's pheromone row
+  const double* eta;    ///< per-layer eta^beta cache
+  const double* width;  ///< the ant's per-layer width profile
+  int lo;               ///< first candidate layer (the span's lo)
+  int hi;               ///< last candidate layer (the span's hi)
+  int current;          ///< the vertex's layer (always feasible)
+  double vertex_width;  ///< the vertex's own width
+  double max_width;     ///< layer capacity (paper §IV-C), when capped
+  double alpha;         ///< pheromone exponent
+};
+
+/// The fused candidate scans, specialised on the loop invariants (alpha's
+/// pow fast path and whether a layer capacity applies) so the per-layer
+/// body is a load, a multiply and a compare.
+template <PowMode kAlpha, bool kCapped>
+struct Scan {
+  /// Optional neighbourhood capacity (paper §IV-C): a layer the vertex
+  /// would overfill is skipped; its current layer is always feasible.
+  static bool skipped(const ScanInput& in, int layer) {
+    return kCapped && layer != in.current &&
+           in.width[layer - 1] + in.vertex_width > in.max_width;
+  }
+
+  static double score(const ScanInput& in, int layer) {
+    return pow_by_mode(in.tau[layer - 1], in.alpha, kAlpha) *
+           in.eta[layer - 1];
+  }
+
+  /// Greedy rule: scores every candidate and folds it into the argmax in
+  /// the same pass. Writes the layers tying for the maximum to `ties` (in
+  /// layer order) and returns the maximum. A skipped layer would score 0,
+  /// which can never win once any score is positive, so it is left out;
+  /// a non-positive return means no admissible candidate.
+  static double greedy(const ScanInput& in, int* ties,
+                       std::size_t& num_ties) {
+    double best = 0.0;
+    num_ties = 0;
+    for (int layer = in.lo; layer <= in.hi; ++layer) {
+      if (skipped(in, layer)) continue;
+      const double s = score(in, layer);
+      if (s > best) {
+        best = s;
+        ties[0] = layer;
+        num_ties = 1;
+      } else if (s == best) {
+        ties[num_ties++] = layer;
+      }
+    }
+    return best;
+  }
+
+  /// Roulette rule: writes every candidate's score (0 when skipped) to
+  /// `scores` and accumulates their total in the same index order the
+  /// sequential draw sums in. Returns whether any score is positive.
+  static bool roulette(const ScanInput& in, double* scores, double& total) {
+    total = 0.0;
+    bool any_candidate = false;
+    for (int layer = in.lo; layer <= in.hi; ++layer) {
+      const double s = skipped(in, layer) ? 0.0 : score(in, layer);
+      scores[layer - in.lo] = s;
+      total += s;
+      any_candidate = any_candidate || s > 0.0;
+    }
+    return any_candidate;
+  }
+};
+
+/// The scan pair for one walk's loop invariants.
+struct ScanKernels {
+  double (*greedy)(const ScanInput&, int*, std::size_t&);
+  bool (*roulette)(const ScanInput&, double*, double&);
+};
+
+template <PowMode kAlpha>
+ScanKernels kernels_for(bool capped) {
+  if (capped) return {Scan<kAlpha, true>::greedy, Scan<kAlpha, true>::roulette};
+  return {Scan<kAlpha, false>::greedy, Scan<kAlpha, false>::roulette};
+}
+
+ScanKernels kernels_for(PowMode alpha_mode, bool capped) {
+  switch (alpha_mode) {
+    case PowMode::kZero:
+      return kernels_for<PowMode::kZero>(capped);
+    case PowMode::kOne:
+      return kernels_for<PowMode::kOne>(capped);
+    case PowMode::kGeneral:
+      break;
+  }
+  return kernels_for<PowMode::kGeneral>(capped);
+}
+
 }  // namespace
+
+void EtaPowMemo::reserve(std::size_t num_layers) {
+  const std::size_t wanted = std::min(
+      kMaxSlots, std::bit_ceil(std::max<std::size_t>(2 * num_layers, 16)));
+  if (wanted <= slots.size()) return;
+  slots.assign(wanted, Slot{});
+  shift = 64 - std::countr_zero(wanted);
+  bound = false;
+}
 
 void perform_walk(const graph::CsrView& g, const layering::Layering& base,
                   int num_layers, const PheromoneMatrix& tau,
                   const AcoParams& params, support::Rng rng,
                   WalkWorkspace& ws, WalkResult& result) {
+  perform_walk_advancing(g, base, num_layers, tau, params, rng, ws, result);
+}
+
+void perform_walk_advancing(const graph::CsrView& g,
+                            const layering::Layering& base, int num_layers,
+                            const PheromoneMatrix& tau,
+                            const AcoParams& params, support::Rng& rng,
+                            WalkWorkspace& ws, WalkResult& result) {
   const auto n = g.num_vertices();
   result.layering = base;
   result.metrics = {};
@@ -112,44 +234,70 @@ void perform_walk(const graph::CsrView& g, const layering::Layering& base,
   // Per-layer heuristic cache: eta(l)^beta depends only on the layer's
   // current width, so it is computed once per layer here and refreshed for
   // just the layers a move touches — instead of per (vertex, candidate
-  // layer) pair, where the general-exponent std::pow dominated the walk.
-  // Identical doubles flow through the identical expression, so every
-  // score is bit-for-bit what the uncached evaluation produced.
+  // layer) pair. A general beta goes through the exact memo, so std::pow
+  // runs once per distinct width rather than once per refresh. Identical
+  // doubles flow through the identical expression, so every score is bit
+  // for bit what the uncached evaluation produced.
+  const bool memoised = beta_mode == PowMode::kGeneral;
+  if (memoised) {
+    bind_memo(ws.eta_memo, params.eta_epsilon, params.beta, num_layers);
+  }
   const auto eta_of = [&](int layer) {
-    const double eta =
-        1.0 / (params.eta_epsilon + ws.widths.width_unchecked(layer));
-    return pow_by_mode(eta, params.beta, beta_mode);
+    const double width = ws.widths.width_unchecked(layer);
+    return memoised ? memo_lookup(ws.eta_memo, width)
+                    : eta_pow(width, params.eta_epsilon, params.beta,
+                              beta_mode);
   };
-  ws.eta_term.resize(static_cast<std::size_t>(num_layers));
+  const auto layers = static_cast<std::size_t>(num_layers);
+  ws.eta_term.resize(layers);
   for (int layer = 1; layer <= num_layers; ++layer) {
     ws.eta_term[static_cast<std::size_t>(layer - 1)] = eta_of(layer);
   }
+
+  const bool greedy = params.selection == SelectionRule::kGreedyMax;
+  const ScanKernels scan = kernels_for(alpha_mode, params.max_width > 0.0);
+  ws.ties.resize(layers);
+  if (!greedy) ws.scores.resize(layers);
+  ScanInput in{};
+  in.eta = ws.eta_term.data();
+  in.width = ws.widths.profile().data();
+  in.max_width = params.max_width;
+  in.alpha = params.alpha;
 
   for (const auto vertex_index : ws.order) {
     const auto v = static_cast<graph::VertexId>(vertex_index);
     const auto span = ws.spans.span(v);
     const int current = result.layering.layer(v);
+    in.tau = tau.row(v).data();
+    in.lo = span.lo;
+    in.hi = span.hi;
+    in.current = current;
+    in.vertex_width = g.width(v);
 
-    ws.scores.assign(static_cast<std::size_t>(span.size()), 0.0);
-    bool any_candidate = false;
-    const double vertex_width = g.width(v);
-    for (int layer = span.lo; layer <= span.hi; ++layer) {
-      // Optional neighbourhood capacity (paper §IV-C): skip layers that
-      // would exceed max_width; the current layer is always feasible.
-      if (params.max_width > 0.0 && layer != current &&
-          ws.widths.width_unchecked(layer) + vertex_width >
-              params.max_width) {
-        continue;
+    int chosen = current;
+    bool drawn = false;
+    if (!greedy) {
+      double total = 0.0;
+      if (!scan.roulette(in, ws.scores.data(), total)) continue;
+      if (total > 0.0) {
+        const std::span<const double> scores(
+            ws.scores.data(), static_cast<std::size_t>(span.size()));
+        // Presummed overload: skips weighted_index's validation re-scan.
+        chosen = span.lo + static_cast<int>(rng.weighted_index(scores, total));
+        drawn = true;
       }
-      const double score =
-          pow_by_mode(tau.at_unchecked(v, layer), params.alpha, alpha_mode) *
-          ws.eta_term[static_cast<std::size_t>(layer - 1)];
-      ws.scores[static_cast<std::size_t>(layer - span.lo)] = score;
-      any_candidate = any_candidate || score > 0.0;
+      // A total that is not positive (a NaN score) falls back to the
+      // greedy argmax, which sees the same scores and ties.
     }
-    if (!any_candidate) continue;  // nothing admissible: keep current layer
+    if (!drawn) {
+      std::size_t num_ties = 0;
+      const double best = scan.greedy(in, ws.ties.data(), num_ties);
+      if (!(best > 0.0)) continue;  // nothing admissible: keep current
+      chosen = (num_ties == 1 || params.tie_break == TieBreak::kFirst)
+                   ? ws.ties[0]
+                   : ws.ties[rng.index(num_ties)];
+    }
 
-    const int chosen = choose_layer(ws.scores, span.lo, params, rng, ws.ties);
     if (chosen != current) {
       ws.widths.apply_move(g, v, current, chosen);
       result.layering.set_layer(v, chosen);

@@ -70,7 +70,7 @@ BatchJobId BatchSolver::submit(const SolveRequest& request) {
   }
 
   unfinished_.fetch_add(1, std::memory_order_relaxed);
-  pool_.submit([this, &job] { run_job(job); });
+  pool_.submit([this, &job, id] { run_job(job, id); });
   return id;
 }
 
@@ -88,7 +88,7 @@ BatchJobId BatchSolver::submit(const graph::Digraph& g,
   return submit(request);
 }
 
-void BatchSolver::run_job(Job& job) {
+void BatchSolver::run_job(Job& job, BatchJobId id) {
   try {
     const std::size_t worker = support::ThreadPool::worker_index();
     ACOLAY_CHECK_MSG(worker < worker_ws_.size(),
@@ -102,6 +102,7 @@ void BatchSolver::run_job(Job& job) {
     job.outcome.result =
         run_colony(*job.request.graph, job.csr, job.request.params, ws,
                    /*ant_pool=*/nullptr, job.request.warm_tau);
+    if (options_.completion_gate) options_.completion_gate(id);
   } catch (const std::exception& e) {
     job.error = std::current_exception();
     job.outcome.error = AdmissionError::kInternal;

@@ -20,8 +20,10 @@
 //  * workspace pooling: each pool worker owns one ColonyWorkspace, keyed
 //    by support::ThreadPool::worker_index() and grown to the largest
 //    admitted graph, so steady-state batch throughput is allocation-free
-//    in the tour/walk inner loop. Workspaces carry no state across runs
-//    beyond buffer capacity (pinned by tests/determinism_test.cpp), so
+//    in the tour/walk inner loop. Workspaces carry nothing across runs
+//    that can change a result — buffer capacity, and the walk's exact
+//    eta^beta memo, whose hits equal recomputation (pinned by
+//    tests/determinism_test.cpp and tests/core_ant_kernel_test.cpp), so
 //    worker-keying cannot leak one graph's search into another's.
 //
 // The API is submit/poll/wait for request-at-a-time serving plus a
@@ -42,6 +44,7 @@
 #include <cstddef>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -68,6 +71,13 @@ struct BatchOptions {
   /// AcoParams is shared across a corpus. Off by default: each job's
   /// params are taken verbatim.
   bool derive_seeds = false;
+  /// Completion gate: when set, called on the worker thread with the
+  /// job's id after its colony has run and before the job is published as
+  /// finished. Tests block in it to hold a job in flight for exactly as
+  /// long as they need (the way ServeOptions::clock makes deadlines
+  /// deterministic) instead of guessing how long a solve takes. It never
+  /// sees or changes a result. Null, the default, is no gate.
+  std::function<void(BatchJobId)> completion_gate = nullptr;
 };
 
 /// Concurrent many-graph colony solver: one whole-colony task per
@@ -189,7 +199,7 @@ class BatchSolver {
     std::atomic<bool> finished{false};
   };
 
-  void run_job(Job& job);
+  void run_job(Job& job, BatchJobId id);
   const Job& job_at(BatchJobId id) const;
   Job& job_at(BatchJobId id);
   /// Blocks until `job` finishes and rejects already-collected jobs

@@ -24,6 +24,7 @@ core::BatchOptions solver_options(const ServeOptions& options) {
   core::BatchOptions batch;
   batch.num_threads = options.num_threads;
   batch.derive_seeds = false;  // the wire seed is authoritative
+  batch.completion_gate = options.completion_gate;
   return batch;
 }
 

@@ -115,6 +115,11 @@ struct ServeOptions {
   /// Deadline clock; null uses a steady-clock stopwatch started at
   /// construction.
   ClockFn clock;
+  /// Completion gate of the embedded BatchSolver
+  /// (core::BatchOptions::completion_gate): lets a test hold a dispatched
+  /// colony in flight deterministically, as `clock` does for deadlines.
+  /// Null in production.
+  std::function<void(core::BatchJobId)> completion_gate;
 };
 
 /// Counters exposed for tests, the stats log line, and the bench suite.

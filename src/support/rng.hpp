@@ -87,6 +87,9 @@ class Rng {
   /// and the given stream identifiers (order-sensitive).
   Rng fork(std::uint64_t a, std::uint64_t b = 0, std::uint64_t c = 0) const;
 
+  /// Equal generators produce equal streams (state and fork seed match).
+  friend bool operator==(const Rng&, const Rng&) = default;
+
  private:
   std::array<std::uint64_t, 4> state_;
   std::uint64_t seed_;  // original seed retained for fork()

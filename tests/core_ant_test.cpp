@@ -165,30 +165,41 @@ TEST(AntWalk, SteadyStateWalkIsAllocationFree) {
   // heap-silent — for any rng stream, not just a replay. (Warm-up alone is
   // not enough: a different stream evolves different layer spans, so the
   // per-vertex score buffer's high-water mark is stream-dependent; that is
-  // why the batch solver reserves for the largest admitted graph.) The
-  // guard is a no-op in release/sanitizer builds; the debug CI leg
-  // enforces it.
+  // why the batch solver reserves for the largest admitted graph.) Three
+  // configurations cover every kernel path: the default fused greedy scan
+  // with the general-beta eta memo (beta = 3), the fused roulette pass
+  // with a non-integral beta, and the capacity-skipping scan. The guard is
+  // a no-op in release/sanitizer builds; the debug CI leg enforces it.
   const auto g = test::random_battery(1, 42).front();
   WalkFixture fx(g);
-  const AcoParams params;
-  const PheromoneMatrix tau(g.num_vertices(), fx.num_layers, params.tau0);
-  const graph::CsrView csr(g);
-  WalkWorkspace ws;
-  ws.reserve(g.num_vertices(), static_cast<std::size_t>(fx.num_layers));
-  WalkResult result;
-  perform_walk(csr, fx.base, fx.num_layers, tau, params, support::Rng(9), ws,
-               result);
-  const auto expected = result.layering;
+  AcoParams roulette;
+  roulette.selection = SelectionRule::kRoulette;
+  roulette.beta = 2.5;
+  AcoParams capped;
+  capped.max_width = 2.0;
+  for (const AcoParams& params : {AcoParams{}, roulette, capped}) {
+    SCOPED_TRACE(::testing::Message() << "beta=" << params.beta
+                                      << " max_width=" << params.max_width);
+    const PheromoneMatrix tau(g.num_vertices(), fx.num_layers, params.tau0);
+    const graph::CsrView csr(g);
+    WalkWorkspace ws;
+    ws.reserve(g.num_vertices(), static_cast<std::size_t>(fx.num_layers));
+    WalkResult result;
+    perform_walk(csr, fx.base, fx.num_layers, tau, params, support::Rng(9),
+                 ws, result);
+    const auto expected = result.layering;
 
-  ACOLAY_ASSERT_NO_ALLOC(perform_walk(csr, fx.base, fx.num_layers, tau, params,
-                                      support::Rng(9), ws, result));
-  EXPECT_EQ(result.layering, expected);
+    ACOLAY_ASSERT_NO_ALLOC(perform_walk(csr, fx.base, fx.num_layers, tau,
+                                        params, support::Rng(9), ws, result));
+    EXPECT_EQ(result.layering, expected);
 
-  // A *different* rng stream visits vertices in another order and makes
-  // different moves, but the reserved buffers bound every stream.
-  ACOLAY_ASSERT_NO_ALLOC(perform_walk(csr, fx.base, fx.num_layers, tau, params,
-                                      support::Rng(1234), ws, result));
-  EXPECT_TRUE(layering::is_valid_layering(g, result.layering));
+    // A *different* rng stream visits vertices in another order and makes
+    // different moves, but the reserved buffers bound every stream.
+    ACOLAY_ASSERT_NO_ALLOC(perform_walk(csr, fx.base, fx.num_layers, tau,
+                                        params, support::Rng(1234), ws,
+                                        result));
+    EXPECT_TRUE(layering::is_valid_layering(g, result.layering));
+  }
 }
 
 /// Selection-rule sweep over the battery: both rules, both tie-breaks.

@@ -123,19 +123,15 @@ TEST(Determinism, WalkWorkspaceReuseIsBitIdentical) {
   }
 }
 
-TEST(Determinism, SteadyStateColonyTourIsAllocationFree) {
-  // The zero-allocation claim behind workspace reuse, enforced rather than
-  // asserted in a comment: replay run_colony's serial tour body (ant walks
-  // with forked rng streams, deterministic best-ant reduction, fused
-  // evaporate+deposit update, base hand-off) with workspaces reserved for
-  // this graph's (vertices, layers) bound, and demand that every tour
-  // after the warm-up performs zero heap allocations. The guard counts
-  // nothing in release/sanitizer builds; the debug CI leg arms it.
-  const auto corpus = seeded_corpus();
-  const auto& g = corpus.graphs[corpus.graphs.size() / 2];
+/// Replays run_colony's serial tour body (ant walks with forked rng
+/// streams, deterministic best-ant reduction, fused evaporate+deposit
+/// update, base hand-off) for five tours with workspaces reserved for the
+/// graph's (vertices, layers) bound, and demands that every tour after the
+/// warm-up performs zero heap allocations.
+void expect_allocation_free_tours(const graph::Digraph& g,
+                                  const core::AcoParams& params) {
   const graph::CsrView csr(g);
   const auto lpl = baselines::longest_path_layering(g);
-  core::AcoParams params;
   const auto stretched = core::stretch_layering(g, lpl, params.stretch);
   const int num_layers = std::max(stretched.num_layers, 1);
   core::PheromoneMatrix tau(g.num_vertices(), num_layers, params.tau0);
@@ -178,6 +174,26 @@ TEST(Determinism, SteadyStateColonyTourIsAllocationFree) {
     ACOLAY_ASSERT_NO_ALLOC(run_tour(tour));
   }
   EXPECT_TRUE(layering::is_valid_layering(g, base));
+}
+
+TEST(Determinism, SteadyStateColonyTourIsAllocationFree) {
+  // The zero-allocation claim behind workspace reuse, enforced rather than
+  // asserted in a comment, for every walk-kernel path: the default fused
+  // greedy scan with the general-beta eta memo, the fused roulette pass
+  // with a non-integral beta, and the capacity-skipping scan. The guard
+  // counts nothing in release/sanitizer builds; the debug CI leg arms it.
+  const auto corpus = seeded_corpus();
+  const auto& g = corpus.graphs[corpus.graphs.size() / 2];
+  core::AcoParams roulette;
+  roulette.selection = core::SelectionRule::kRoulette;
+  roulette.beta = 2.5;
+  core::AcoParams capped;
+  capped.max_width = 2.0;
+  for (const core::AcoParams& params : {core::AcoParams{}, roulette, capped}) {
+    SCOPED_TRACE(::testing::Message() << "beta=" << params.beta
+                                      << " max_width=" << params.max_width);
+    expect_allocation_free_tours(g, params);
+  }
 }
 
 TEST(Determinism, ColonyRerunWithWarmWorkspacesIsBitIdentical) {

@@ -26,9 +26,12 @@
 #include "io/json_reader.hpp"
 #include "server/protocol.hpp"
 #include "server/session.hpp"
+#include "test_util.hpp"
 
 namespace acolay::server {
 namespace {
+
+using test::require_field;
 
 /// A listener on an ephemeral loopback port (or a unix path), run on its
 /// own thread; stop() initiates the drain and joins.
@@ -182,7 +185,7 @@ std::string solve_frame(const std::string& id, std::uint64_t seed,
 std::string response_id(const std::string& line) {
   const auto doc = io::parse_json(line);
   if (!doc.has_value()) return "<unparseable>";
-  return doc->find("id")->as_string();
+  return require_field(*doc, "id").as_string();
 }
 
 TEST(ServerListener, SingleClientTranscriptMatchesServeStream) {
@@ -250,7 +253,7 @@ TEST(ServerListener, MultiClientResponsesStayInPerClientArrivalOrder) {
           << " out of its own arrival order";
       const auto doc = io::parse_json(lines[i]);
       ASSERT_TRUE(doc.has_value());
-      EXPECT_EQ(doc->find("status")->as_string(), "ok");
+      EXPECT_EQ(require_field(*doc, "status").as_string(), "ok");
     }
   }
 }
@@ -265,12 +268,12 @@ TEST(ServerListener, MalformedFrameAnswersRejectionAndServingContinues) {
   {
     const auto doc = io::parse_json(lines[0]);
     ASSERT_TRUE(doc.has_value());
-    EXPECT_EQ(doc->find("status")->as_string(), "rejected");
+    EXPECT_EQ(require_field(*doc, "status").as_string(), "rejected");
   }
   {
     const auto doc = io::parse_json(lines[1]);
     ASSERT_TRUE(doc.has_value());
-    EXPECT_EQ(doc->find("status")->as_string(), "ok");
+    EXPECT_EQ(require_field(*doc, "status").as_string(), "ok");
   }
 
   // The daemon is still alive for the next client.
@@ -336,9 +339,9 @@ TEST(ServerListener, StatsFrameIsServedOverTheSocket) {
   ASSERT_EQ(lines.size(), 2u);
   const auto doc = io::parse_json(lines[1]);
   ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->find("stats")->find("schema")->as_string(),
+  EXPECT_EQ(require_field(*doc, "stats", "schema").as_string(),
             kServeStatsSchema);
-  EXPECT_EQ(doc->find("stats")->find("received")->as_double(), 2.0);
+  EXPECT_EQ(require_field(*doc, "stats", "received").as_double(), 2.0);
 }
 
 TEST(ServerListener, StopDrainsEverythingAlreadyReceived) {

@@ -17,6 +17,8 @@
 namespace acolay::server {
 namespace {
 
+using test::require_field;
+
 using core::AdmissionError;
 
 constexpr const char* kDiamondFrame =
@@ -161,24 +163,24 @@ TEST(ServerProtocol, ResponsesAreValidJsonWithTheSchemaTag) {
       render_result_response("r1", result, /*deduped=*/true, /*seconds=*/-1);
   const auto ok_doc = io::parse_json(ok);
   ASSERT_TRUE(ok_doc.has_value());
-  EXPECT_EQ(ok_doc->find("schema")->as_string(), kServeSchema);
-  EXPECT_EQ(ok_doc->find("status")->as_string(), "ok");
-  EXPECT_TRUE(ok_doc->find("deduped")->as_bool());
+  EXPECT_EQ(require_field(*ok_doc, "schema").as_string(), kServeSchema);
+  EXPECT_EQ(require_field(*ok_doc, "status").as_string(), "ok");
+  EXPECT_TRUE(require_field(*ok_doc, "deduped").as_bool());
   EXPECT_EQ(ok_doc->find("seconds"), nullptr);  // timing off
 
   const std::string timed =
       render_result_response("r1", result, false, 0.125);
   const auto timed_doc = io::parse_json(timed);
   ASSERT_TRUE(timed_doc.has_value());
-  EXPECT_DOUBLE_EQ(timed_doc->find("seconds")->as_double(), 0.125);
+  EXPECT_DOUBLE_EQ(require_field(*timed_doc, "seconds").as_double(), 0.125);
 
   const std::string rejected = render_error_response(
       "r2", AdmissionError::kOverloaded, "queue \"full\"");
   const auto rej_doc = io::parse_json(rejected);
   ASSERT_TRUE(rej_doc.has_value());
-  EXPECT_EQ(rej_doc->find("status")->as_string(), "rejected");
-  EXPECT_EQ(rej_doc->find("error")->as_string(), "overloaded");
-  EXPECT_EQ(rej_doc->find("message")->as_string(), "queue \"full\"");
+  EXPECT_EQ(require_field(*rej_doc, "status").as_string(), "rejected");
+  EXPECT_EQ(require_field(*rej_doc, "error").as_string(), "overloaded");
+  EXPECT_EQ(require_field(*rej_doc, "message").as_string(), "queue \"full\"");
 }
 
 TEST(ServerProtocol, ParsesADeltaFrame) {
@@ -287,7 +289,8 @@ TEST(ServerProtocol, ResultResponseCarriesTheOptionalFingerprint) {
       "r1", result, false, -1, std::uint64_t{0xdeadbeefu});
   const auto with_doc = io::parse_json(with);
   ASSERT_TRUE(with_doc.has_value());
-  EXPECT_EQ(with_doc->find("fingerprint")->as_string(), "00000000deadbeef");
+  EXPECT_EQ(require_field(*with_doc, "fingerprint").as_string(),
+            "00000000deadbeef");
 
   const std::string without =
       render_result_response("r1", result, false, -1);

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,6 +32,8 @@
 
 namespace acolay::server {
 namespace {
+
+using test::require_field;
 
 using core::AdmissionError;
 
@@ -95,12 +101,17 @@ graph::Digraph wire_normalized(const graph::Digraph& g) {
 io::JsonValue parse_response(const std::string& line) {
   const auto doc = io::parse_json(line);
   EXPECT_TRUE(doc.has_value()) << line;
-  EXPECT_EQ(doc->find("schema")->as_string(), kServeSchema);
-  return doc ? *doc : io::JsonValue{};
+  if (!doc) return io::JsonValue{};  // require_field then fails cleanly
+  EXPECT_EQ(require_field(*doc, "schema").as_string(), kServeSchema);
+  return *doc;
 }
 
 std::string status_of(const std::string& line) {
-  return parse_response(line).find("status")->as_string();
+  return require_field(parse_response(line), "status").as_string();
+}
+
+bool deduped_of(const std::string& line) {
+  return require_field(parse_response(line), "deduped").as_bool();
 }
 
 TEST(ServerSession, AnswersAValidRequestWithItsLayering) {
@@ -110,12 +121,12 @@ TEST(ServerSession, AnswersAValidRequestWithItsLayering) {
   const auto responses = server.take_responses();
   ASSERT_EQ(responses.size(), 1u);
   const io::JsonValue doc = parse_response(responses[0]);
-  EXPECT_EQ(doc.find("id")->as_string(), "q1");
-  EXPECT_EQ(doc.find("status")->as_string(), "ok");
-  EXPECT_FALSE(doc.find("deduped")->as_bool());
+  EXPECT_EQ(require_field(doc, "id").as_string(), "q1");
+  EXPECT_EQ(require_field(doc, "status").as_string(), "ok");
+  EXPECT_FALSE(require_field(doc, "deduped").as_bool());
   EXPECT_EQ(doc.find("seconds"), nullptr);  // timing off by default
-  EXPECT_EQ(doc.find("layering")->find("layers")->size(), 7u);
-  EXPECT_GE(doc.find("layering")->find("height")->as_int64(), 4);
+  EXPECT_EQ(require_field(doc, "layering", "layers").size(), 7u);
+  EXPECT_GE(require_field(doc, "layering", "height").as_int64(), 4);
   EXPECT_NE(doc.find("metrics"), nullptr);
   EXPECT_EQ(server.outstanding(), 0u);
 }
@@ -132,8 +143,9 @@ TEST(ServerSession, MalformedAndInvalidFramesGetStructuredRejections) {
   ASSERT_EQ(responses.size(), 3u);
   EXPECT_EQ(status_of(responses[0]), "rejected");
   const io::JsonValue cycle = parse_response(responses[1]);
-  EXPECT_EQ(cycle.find("id")->as_string(), "loop");  // best-effort echo
-  EXPECT_EQ(cycle.find("error")->as_string(), "cycle");
+  // best-effort echo
+  EXPECT_EQ(require_field(cycle, "id").as_string(), "loop");
+  EXPECT_EQ(require_field(cycle, "error").as_string(), "cycle");
   EXPECT_EQ(status_of(responses[2]), "ok");
   EXPECT_EQ(server.stats().rejected_invalid, 2u);
   EXPECT_EQ(server.stats().solved, 1u);
@@ -153,16 +165,61 @@ TEST(ServerSession, ExpiredDeadlineIsShedWithoutRunningAColony) {
   const auto responses = server.take_responses();
   ASSERT_EQ(responses.size(), 1u);
   const io::JsonValue doc = parse_response(responses[0]);
-  EXPECT_EQ(doc.find("status")->as_string(), "rejected");
-  EXPECT_EQ(doc.find("error")->as_string(), "deadline_expired");
+  EXPECT_EQ(require_field(doc, "status").as_string(), "rejected");
+  EXPECT_EQ(require_field(doc, "error").as_string(), "deadline_expired");
   EXPECT_EQ(server.stats().rejected_deadline, 1u);
   EXPECT_EQ(server.stats().solved, 0u);  // never reached the solver
 }
 
+/// Holds one BatchSolver job in flight: installed as the completion gate,
+/// it blocks the worker that ran job `held` until release(). The state is
+/// shared with the gate, so releasing never races the worker's wake-up.
+class HeldJob {
+ public:
+  explicit HeldJob(core::BatchJobId held)
+      : held_(held), state_(std::make_shared<State>()) {}
+
+  /// The gate to install as ServeOptions::completion_gate.
+  std::function<void(core::BatchJobId)> gate() const {
+    return [held = held_, state = state_](core::BatchJobId id) {
+      if (id != held) return;
+      std::unique_lock<std::mutex> lock(state->mutex);
+      state->cv.wait(lock, [&state] { return state->released; });
+    };
+  }
+
+  /// Lets the held job finish (idempotent).
+  void release() {
+    {
+      const std::lock_guard<std::mutex> lock(state_->mutex);
+      state_->released = true;
+    }
+    state_->cv.notify_all();
+  }
+
+  /// Releases the job when the enclosing scope ends — on a throw too, so
+  /// a failing test can never leave the server's solver blocked.
+  struct ReleaseAtScopeExit {
+    HeldJob& job;
+    ~ReleaseAtScopeExit() { job.release(); }
+  };
+
+ private:
+  struct State {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool released = false;
+  };
+  core::BatchJobId held_;
+  std::shared_ptr<State> state_;
+};
+
 TEST(ServerSession, PrioritiesGovernDispatchAndOverflowIsBackpressure) {
-  // One in-flight slot, a two-deep queue, and a blocker holding the slot.
-  // The low-priority request's deadline expires as soon as two colonies
-  // have been solved (the clock reads the solved counter), so:
+  // One in-flight slot, a two-deep queue, and a blocker held in flight by
+  // the completion gate until the three frames below are pushed — held,
+  // not guessed to be slow. The low-priority request's deadline expires
+  // as soon as two colonies have been solved (the clock reads the solved
+  // counter), so:
   //   * correct (priority) order: blocker, then HIGH — by the time LOW is
   //     popped its deadline has passed and it is shed;
   //   * inverted order would pop LOW while its deadline still holds, solve
@@ -176,28 +233,31 @@ TEST(ServerSession, PrioritiesGovernDispatchAndOverflowIsBackpressure) {
   options.clock = [&self] {
     return (self != nullptr && self->stats().solved >= 2) ? 1000.0 : 0.0;
   };
+  HeldJob blocker(/*held=*/0);  // the server's first solver job
+  options.completion_gate = blocker.gate();
   Server server(options);
   self = &server;
 
-  // Heavy enough that it is still running while the three frames below
-  // are pushed (pushes take microseconds).
-  const auto blocker_graph = test::random_battery(1, 0xb10cULL).front();
-  server.push_line(frame("blocker", blocker_graph, 400, 1));
-  server.push_line(frame("low", test::diamond(), 2, 2,
-                         FrameOpts{.deadline = 50.0, .priority = 0}));
-  server.push_line(frame("high", test::two_chains(), 2, 3,
-                         FrameOpts{.priority = 7}));
-  server.push_line(frame("bounced", test::small_dag(), 2, 4));
+  {
+    const HeldJob::ReleaseAtScopeExit release{blocker};
+    server.push_line(frame("blocker", test::diamond(), 2, 1));
+    server.push_line(frame("low", test::diamond(), 2, 2,
+                           FrameOpts{.deadline = 50.0, .priority = 0}));
+    server.push_line(frame("high", test::two_chains(), 2, 3,
+                           FrameOpts{.priority = 7}));
+    server.push_line(frame("bounced", test::small_dag(), 2, 4));
+    EXPECT_EQ(server.stats().solved, 0u);  // the blocker is still held
+  }
   server.drain();
 
   const auto responses = server.take_responses();
   ASSERT_EQ(responses.size(), 4u);  // arrival order, always
   EXPECT_EQ(status_of(responses[0]), "ok");
   const io::JsonValue low = parse_response(responses[1]);
-  EXPECT_EQ(low.find("error")->as_string(), "deadline_expired");
+  EXPECT_EQ(require_field(low, "error").as_string(), "deadline_expired");
   EXPECT_EQ(status_of(responses[2]), "ok");
   const io::JsonValue bounced = parse_response(responses[3]);
-  EXPECT_EQ(bounced.find("error")->as_string(), "overloaded");
+  EXPECT_EQ(require_field(bounced, "error").as_string(), "overloaded");
 
   EXPECT_EQ(server.stats().solved, 2u);
   EXPECT_EQ(server.stats().rejected_deadline, 1u);
@@ -218,14 +278,14 @@ TEST(ServerSession, DedupCollapsesOnlyExactlyEqualRequests) {
   const io::JsonValue a = parse_response(responses[0]);
   const io::JsonValue b = parse_response(responses[1]);
   const io::JsonValue c = parse_response(responses[2]);
-  EXPECT_FALSE(a.find("deduped")->as_bool());
-  EXPECT_TRUE(b.find("deduped")->as_bool());
-  EXPECT_TRUE(c.find("deduped")->as_bool());
-  EXPECT_FALSE(parse_response(responses[3]).find("deduped")->as_bool());
+  EXPECT_FALSE(require_field(a, "deduped").as_bool());
+  EXPECT_TRUE(require_field(b, "deduped").as_bool());
+  EXPECT_TRUE(require_field(c, "deduped").as_bool());
+  EXPECT_FALSE(deduped_of(responses[3]));
 
   // A shared result is the leader's result: identical layers.
-  const auto& a_layers = a.find("layering")->find("layers")->elements();
-  const auto& b_layers = b.find("layering")->find("layers")->elements();
+  const auto& a_layers = require_field(a, "layering", "layers").elements();
+  const auto& b_layers = require_field(b, "layering", "layers").elements();
   ASSERT_EQ(a_layers.size(), b_layers.size());
   for (std::size_t i = 0; i < a_layers.size(); ++i) {
     EXPECT_EQ(a_layers[i].as_int64(), b_layers[i].as_int64());
@@ -256,8 +316,8 @@ TEST(ServerSession, DedupRefusesSetEqualGraphsWithPermutedAdjacency) {
   server.drain();
   const auto responses = server.take_responses();
   ASSERT_EQ(responses.size(), 2u);
-  EXPECT_FALSE(parse_response(responses[0]).find("deduped")->as_bool());
-  EXPECT_FALSE(parse_response(responses[1]).find("deduped")->as_bool());
+  EXPECT_FALSE(deduped_of(responses[0]));
+  EXPECT_FALSE(deduped_of(responses[1]));
   EXPECT_EQ(server.stats().solved, 2u);
   EXPECT_EQ(server.stats().dedup_shared + server.stats().dedup_cached, 0u);
 }
@@ -315,16 +375,17 @@ TEST(ServerSession, ServedStreamIsBitIdenticalToDirectBatchSolve) {
 
   for (std::size_t i = 0; i < frames.size(); ++i) {
     const io::JsonValue doc = parse_response(transcripts[0][i]);
-    ASSERT_EQ(doc.find("status")->as_string(), "ok") << transcripts[0][i];
-    const auto& layers = doc.find("layering")->find("layers")->elements();
+    ASSERT_EQ(require_field(doc, "status").as_string(), "ok")
+        << transcripts[0][i];
+    const auto& layers = require_field(doc, "layering", "layers").elements();
     const auto& want = expected[i].layering.raw();
     ASSERT_EQ(layers.size(), want.size());
     for (std::size_t v = 0; v < want.size(); ++v) {
       EXPECT_EQ(layers[v].as_int64(), want[v]) << "graph " << i;
     }
-    EXPECT_EQ(doc.find("metrics")->find("objective")->as_double(),
+    EXPECT_EQ(require_field(doc, "metrics", "objective").as_double(),
               expected[i].metrics.objective);
-    EXPECT_EQ(doc.find("initial_objective")->as_double(),
+    EXPECT_EQ(require_field(doc, "initial_objective").as_double(),
               expected[i].initial_objective);
   }
 }
@@ -413,10 +474,10 @@ TEST(ServerSession, DeltaFrameContinuesAWarmSolveBitExactly) {
   auto responses = server.take_responses();
   ASSERT_EQ(responses.size(), 1u);
   const io::JsonValue warm_doc = parse_response(responses[0]);
-  ASSERT_EQ(warm_doc.find("status")->as_string(), "ok");
+  ASSERT_EQ(require_field(warm_doc, "status").as_string(), "ok");
   // Warm solves report the graph fingerprint delta sessions key on.
   ASSERT_NE(warm_doc.find("fingerprint"), nullptr);
-  const std::string fp0 = warm_doc.find("fingerprint")->as_string();
+  const std::string fp0 = require_field(warm_doc, "fingerprint").as_string();
   EXPECT_EQ(fp0, fingerprint_hex(graph::CsrView(g).fingerprint()));
 
   graph::GraphDelta delta;
@@ -428,8 +489,8 @@ TEST(ServerSession, DeltaFrameContinuesAWarmSolveBitExactly) {
   responses = server.take_responses();
   ASSERT_EQ(responses.size(), 1u);
   const io::JsonValue doc = parse_response(responses[0]);
-  ASSERT_EQ(doc.find("status")->as_string(), "ok") << responses[0];
-  EXPECT_EQ(doc.find("id")->as_string(), "d1");
+  ASSERT_EQ(require_field(doc, "status").as_string(), "ok") << responses[0];
+  EXPECT_EQ(require_field(doc, "id").as_string(), "d1");
   EXPECT_EQ(server.stats().incremental_sessions, 1u);
   EXPECT_EQ(server.stats().delta_updates, 1u);
 
@@ -453,16 +514,17 @@ TEST(ServerSession, DeltaFrameContinuesAWarmSolveBitExactly) {
   const core::SolveOutcome& updated = reference.update(delta);
   ASSERT_TRUE(updated.ok());
 
-  EXPECT_EQ(doc.find("fingerprint")->as_string(),
+  EXPECT_EQ(require_field(doc, "fingerprint").as_string(),
             fingerprint_hex(reference.fingerprint()));
-  const io::JsonValue* layers = doc.find("layering")->find("layers");
-  ASSERT_EQ(layers->size(), updated.result.layering.num_vertices());
-  for (std::size_t v = 0; v < layers->size(); ++v) {
-    EXPECT_EQ((*layers)[v].as_int64(),
+  const io::JsonValue& layers =
+      require_field(doc, "layering", "layers");
+  ASSERT_EQ(layers.size(), updated.result.layering.num_vertices());
+  for (std::size_t v = 0; v < layers.size(); ++v) {
+    EXPECT_EQ(layers[v].as_int64(),
               updated.result.layering.layer(static_cast<graph::VertexId>(v)))
         << "vertex " << v;
   }
-  EXPECT_EQ(doc.find("metrics")->find("objective")->as_double(),
+  EXPECT_EQ(require_field(doc, "metrics", "objective").as_double(),
             updated.result.metrics.objective);
 }
 
@@ -474,7 +536,7 @@ TEST(ServerSession, DeltaChainsRekeyAndBranchesSeedFreshSessions) {
   auto responses = server.take_responses();
   ASSERT_EQ(responses.size(), 1u);
   const std::string fp0 =
-      parse_response(responses[0]).find("fingerprint")->as_string();
+      require_field(parse_response(responses[0]), "fingerprint").as_string();
 
   graph::GraphDelta first;
   first.add_edges.push_back(graph::Edge{5, 2});
@@ -483,7 +545,7 @@ TEST(ServerSession, DeltaChainsRekeyAndBranchesSeedFreshSessions) {
   responses = server.take_responses();
   ASSERT_EQ(responses.size(), 1u);
   const std::string fp1 =
-      parse_response(responses[0]).find("fingerprint")->as_string();
+      require_field(parse_response(responses[0]), "fingerprint").as_string();
   EXPECT_NE(fp1, fp0);
 
   // The chain re-keyed: fp1 continues the same session.
@@ -522,9 +584,9 @@ TEST(ServerSession, DeltaWithoutWarmStateIsUnknownFingerprint) {
   const auto responses = server.take_responses();
   ASSERT_EQ(responses.size(), 1u);
   const io::JsonValue doc = parse_response(responses[0]);
-  EXPECT_EQ(doc.find("status")->as_string(), "rejected");
-  EXPECT_EQ(doc.find("error")->as_string(), "unknown_fingerprint");
-  EXPECT_NE(doc.find("message")->as_string().find("warm"),
+  EXPECT_EQ(require_field(doc, "status").as_string(), "rejected");
+  EXPECT_EQ(require_field(doc, "error").as_string(), "unknown_fingerprint");
+  EXPECT_NE(require_field(doc, "message").as_string().find("warm"),
             std::string::npos);
   EXPECT_EQ(server.stats().rejected_invalid, 1u);
   EXPECT_EQ(server.stats().incremental_sessions, 0u);
@@ -538,7 +600,7 @@ TEST(ServerSession, RejectedDeltaLeavesTheSessionUsable) {
   auto responses = server.take_responses();
   ASSERT_EQ(responses.size(), 1u);
   const std::string fp0 =
-      parse_response(responses[0]).find("fingerprint")->as_string();
+      require_field(parse_response(responses[0]), "fingerprint").as_string();
 
   graph::GraphDelta missing;  // structurally invalid against the graph
   missing.remove_edges.push_back(graph::Edge{0, 6});
@@ -554,11 +616,11 @@ TEST(ServerSession, RejectedDeltaLeavesTheSessionUsable) {
   responses = server.take_responses();
   ASSERT_EQ(responses.size(), 3u);
   const io::JsonValue bad = parse_response(responses[0]);
-  EXPECT_EQ(bad.find("status")->as_string(), "rejected");
-  EXPECT_EQ(bad.find("error")->as_string(), "bad_request");
+  EXPECT_EQ(require_field(bad, "status").as_string(), "rejected");
+  EXPECT_EQ(require_field(bad, "error").as_string(), "bad_request");
   const io::JsonValue loop = parse_response(responses[1]);
-  EXPECT_EQ(loop.find("status")->as_string(), "rejected");
-  EXPECT_EQ(loop.find("error")->as_string(), "cycle");
+  EXPECT_EQ(require_field(loop, "status").as_string(), "rejected");
+  EXPECT_EQ(require_field(loop, "error").as_string(), "cycle");
   EXPECT_EQ(status_of(responses[2]), "ok");
   EXPECT_EQ(server.stats().delta_updates, 1u);
 }
@@ -578,23 +640,23 @@ TEST(ServerSession, StatsFrameReportsTheSchemaTaggedCounters) {
   EXPECT_EQ(status_of(responses[0]), "ok");
   EXPECT_EQ(status_of(responses[1]), "ok");
   const io::JsonValue doc = parse_response(responses[2]);
-  EXPECT_EQ(doc.find("id")->as_string(), "s1");
-  EXPECT_EQ(doc.find("status")->as_string(), "ok");
+  EXPECT_EQ(require_field(doc, "id").as_string(), "s1");
+  EXPECT_EQ(require_field(doc, "status").as_string(), "ok");
   const io::JsonValue* stats = doc.find("stats");
   ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->find("schema")->as_string(), kServeStatsSchema);
-  EXPECT_EQ(stats->find("received")->as_int64(), 3);
-  EXPECT_EQ(stats->find("solved")->as_int64(), 1);
-  EXPECT_EQ(stats->find("dedup_hits")->as_int64(), 1);
-  EXPECT_EQ(stats->find("delta_updates")->as_int64(), 0);
-  EXPECT_EQ(stats->find("incremental_sessions")->as_int64(), 0);
+  EXPECT_EQ(require_field(*stats, "schema").as_string(), kServeStatsSchema);
+  EXPECT_EQ(require_field(*stats, "received").as_int64(), 3);
+  EXPECT_EQ(require_field(*stats, "solved").as_int64(), 1);
+  EXPECT_EQ(require_field(*stats, "dedup_hits").as_int64(), 1);
+  EXPECT_EQ(require_field(*stats, "delta_updates").as_int64(), 0);
+  EXPECT_EQ(require_field(*stats, "incremental_sessions").as_int64(), 0);
 
   // The shutdown --stats line renders the identical schema-tagged object.
   const std::string line = render_stats_line(server.stats());
   const auto line_doc = io::parse_json(line);
   ASSERT_TRUE(line_doc.has_value());
-  EXPECT_EQ(line_doc->find("schema")->as_string(), kServeStatsSchema);
-  EXPECT_EQ(line_doc->find("received")->as_int64(), 3);
+  EXPECT_EQ(require_field(*line_doc, "schema").as_string(), kServeStatsSchema);
+  EXPECT_EQ(require_field(*line_doc, "received").as_int64(), 3);
 }
 
 TEST(ServerSession, TimingOptInAddsSecondsWithoutChangingTheRest) {
@@ -607,7 +669,7 @@ TEST(ServerSession, TimingOptInAddsSecondsWithoutChangingTheRest) {
   ASSERT_EQ(responses.size(), 1u);
   const io::JsonValue doc = parse_response(responses[0]);
   ASSERT_NE(doc.find("seconds"), nullptr);
-  EXPECT_GE(doc.find("seconds")->as_double(), 0.0);
+  EXPECT_GE(require_field(doc, "seconds").as_double(), 0.0);
 }
 
 /// A cyclic wire graph: the 3-cycle 0 -> 1 -> 2 -> 0 under a small DAG
@@ -639,12 +701,13 @@ TEST(ServerSessionCycles, CyclicFrameRejectedByDefaultAdmittedPerPolicy) {
 
   for (std::size_t i = 0; i < 2; ++i) {
     const io::JsonValue doc = parse_response(responses[i]);
-    EXPECT_EQ(doc.find("status")->as_string(), "rejected") << responses[i];
-    EXPECT_EQ(doc.find("error")->as_string(), "cycle");
+    EXPECT_EQ(require_field(doc, "status").as_string(), "rejected")
+        << responses[i];
+    EXPECT_EQ(require_field(doc, "error").as_string(), "cycle");
   }
   for (std::size_t i = 2; i < 4; ++i) {
     const io::JsonValue doc = parse_response(responses[i]);
-    ASSERT_EQ(doc.find("status")->as_string(), "ok") << responses[i];
+    ASSERT_EQ(require_field(doc, "status").as_string(), "ok") << responses[i];
     const io::JsonValue* reversed = doc.find("reversed_edges");
     ASSERT_NE(reversed, nullptr) << responses[i];
     EXPECT_GE(reversed->size(), 1u);
@@ -661,10 +724,11 @@ TEST(ServerSessionCycles, CyclicFrameRejectedByDefaultAdmittedPerPolicy) {
   const auto direct = core::solve(request);
   ASSERT_TRUE(direct.ok());
   const io::JsonValue greedy = parse_response(responses[2]);
-  const io::JsonValue* layers = greedy.find("layering")->find("layers");
-  ASSERT_EQ(layers->size(), direct.result.layering.num_vertices());
-  for (std::size_t v = 0; v < layers->size(); ++v) {
-    EXPECT_EQ((*layers)[v].as_int64(),
+  const io::JsonValue& layers =
+      require_field(greedy, "layering", "layers");
+  ASSERT_EQ(layers.size(), direct.result.layering.num_vertices());
+  for (std::size_t v = 0; v < layers.size(); ++v) {
+    EXPECT_EQ(layers[v].as_int64(),
               direct.result.layering.layer(static_cast<graph::VertexId>(v)));
   }
   const io::JsonValue* reversed = greedy.find("reversed_edges");
@@ -685,7 +749,7 @@ TEST(ServerSessionCycles, AcyclicResponsesNeverCarryReversedEdges) {
   const auto responses = server.take_responses();
   ASSERT_EQ(responses.size(), 1u);
   const io::JsonValue doc = parse_response(responses[0]);
-  ASSERT_EQ(doc.find("status")->as_string(), "ok");
+  ASSERT_EQ(require_field(doc, "status").as_string(), "ok");
   EXPECT_EQ(doc.find("reversed_edges"), nullptr);
 }
 
@@ -702,11 +766,11 @@ TEST(ServerSessionCycles, ServerDefaultPolicyAppliesToBareFrames) {
   const auto responses = server.take_responses();
   ASSERT_EQ(responses.size(), 2u);
   const io::JsonValue bare = parse_response(responses[0]);
-  ASSERT_EQ(bare.find("status")->as_string(), "ok") << responses[0];
+  ASSERT_EQ(require_field(bare, "status").as_string(), "ok") << responses[0];
   EXPECT_NE(bare.find("reversed_edges"), nullptr);
   const io::JsonValue explicit_reject = parse_response(responses[1]);
-  EXPECT_EQ(explicit_reject.find("status")->as_string(), "rejected");
-  EXPECT_EQ(explicit_reject.find("error")->as_string(), "cycle");
+  EXPECT_EQ(require_field(explicit_reject, "status").as_string(), "rejected");
+  EXPECT_EQ(require_field(explicit_reject, "error").as_string(), "cycle");
 }
 
 TEST(ServerSessionCycles, DedupKeepsPoliciesApart) {
@@ -723,9 +787,9 @@ TEST(ServerSessionCycles, DedupKeepsPoliciesApart) {
   server.drain();
   const auto responses = server.take_responses();
   ASSERT_EQ(responses.size(), 3u);
-  EXPECT_FALSE(parse_response(responses[0]).find("deduped")->as_bool());
-  EXPECT_TRUE(parse_response(responses[1]).find("deduped")->as_bool());
-  EXPECT_FALSE(parse_response(responses[2]).find("deduped")->as_bool());
+  EXPECT_FALSE(deduped_of(responses[0]));
+  EXPECT_TRUE(deduped_of(responses[1]));
+  EXPECT_FALSE(deduped_of(responses[2]));
   // The deduped clone carries the leader's reversal report.
   EXPECT_NE(parse_response(responses[1]).find("reversed_edges"), nullptr);
 }
@@ -744,8 +808,8 @@ TEST(ServerSessionCycles, CycleIntroducingDeltaFollowsTheSessionPolicy) {
   auto responses = server.take_responses();
   ASSERT_EQ(responses.size(), 1u);
   const io::JsonValue warm_doc = parse_response(responses[0]);
-  ASSERT_EQ(warm_doc.find("status")->as_string(), "ok");
-  const std::string fp0 = warm_doc.find("fingerprint")->as_string();
+  ASSERT_EQ(require_field(warm_doc, "status").as_string(), "ok");
+  const std::string fp0 = require_field(warm_doc, "fingerprint").as_string();
 
   // small_dag has 2 -> 0; adding 0 -> 5 -> ... no: close a cycle with the
   // existing path 5 -> 3 -> 2 by adding 2 -> 5.
@@ -756,14 +820,14 @@ TEST(ServerSessionCycles, CycleIntroducingDeltaFollowsTheSessionPolicy) {
   responses = server.take_responses();
   ASSERT_EQ(responses.size(), 1u);
   const io::JsonValue doc = parse_response(responses[0]);
-  ASSERT_EQ(doc.find("status")->as_string(), "ok") << responses[0];
+  ASSERT_EQ(require_field(doc, "status").as_string(), "ok") << responses[0];
   const io::JsonValue* reversed = doc.find("reversed_edges");
   ASSERT_NE(reversed, nullptr);
   EXPECT_GE(reversed->size(), 1u);
   EXPECT_EQ(server.stats().delta_updates, 1u);
 
   // The re-keyed chain keeps working on the reoriented graph.
-  const std::string fp1 = doc.find("fingerprint")->as_string();
+  const std::string fp1 = require_field(doc, "fingerprint").as_string();
   EXPECT_NE(fp1, fp0);
   graph::GraphDelta second;
   second.set_widths.push_back(graph::WidthChange{0, 2.0});
@@ -782,7 +846,7 @@ TEST(ServerSessionCycles, CycleIntroducingDeltaRejectedUnderDefaultPolicy) {
   auto responses = server.take_responses();
   ASSERT_EQ(responses.size(), 1u);
   const std::string fp0 =
-      parse_response(responses[0]).find("fingerprint")->as_string();
+      require_field(parse_response(responses[0]), "fingerprint").as_string();
 
   graph::GraphDelta delta;
   delta.add_edges.push_back(graph::Edge{2, 5});
@@ -791,8 +855,8 @@ TEST(ServerSessionCycles, CycleIntroducingDeltaRejectedUnderDefaultPolicy) {
   responses = server.take_responses();
   ASSERT_EQ(responses.size(), 1u);
   const io::JsonValue doc = parse_response(responses[0]);
-  EXPECT_EQ(doc.find("status")->as_string(), "rejected");
-  EXPECT_EQ(doc.find("error")->as_string(), "cycle");
+  EXPECT_EQ(require_field(doc, "status").as_string(), "rejected");
+  EXPECT_EQ(require_field(doc, "error").as_string(), "cycle");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Shared fixtures and helpers for the acolay test suite.
 #pragma once
 
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "gen/random_dag.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/digraph.hpp"
+#include "io/json_reader.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -34,6 +36,24 @@ inline const core::AcoResult& wait_result(core::BatchSolver& solver,
   ACOLAY_CHECK_MSG(outcome.ok(),
                    "job " << id << " failed: " << outcome.message);
   return outcome.result;
+}
+
+/// The member at `key` (then each further key, descending into nested
+/// objects) of a parsed JSON document. A missing member — or a non-object
+/// on the path — throws support::CheckError naming the key, so a response
+/// that lacks an expected field fails the test instead of dereferencing
+/// the null that JsonValue::find returns.
+template <typename... Keys>
+const io::JsonValue& require_field(const io::JsonValue& doc,
+                                   std::string_view key, Keys... nested) {
+  const io::JsonValue* field = doc.find(key);
+  ACOLAY_CHECK_MSG(field != nullptr,
+                   "response has no \"" << key << "\" field");
+  if constexpr (sizeof...(nested) == 0) {
+    return *field;
+  } else {
+    return require_field(*field, nested...);
+  }
 }
 
 /// Every fixture builder routes its graph through this gate: a cyclic
