@@ -14,8 +14,11 @@ was documented and silently ignored for two releases):
    flag, never a misleading "bad argument".
 3. **Behaviour**: --max-incremental-sessions actually caps the live
    delta-session count (a chain against an evicted session is rejected
-   `unknown_fingerprint` at cap 1 and succeeds at cap 4), and the socket
-   flags actually start a daemon that drains to exit 0 on SIGTERM.
+   `unknown_fingerprint` at cap 1 and succeeds at cap 4),
+   --max-warm-slots actually caps the warm-slot store (a delta against an
+   evicted slot's fingerprint is `unknown_fingerprint` at cap 1 and ok at
+   cap 2), and the socket flags actually start a daemon that drains to
+   exit 0 on SIGTERM.
 
 Runs as the `serving.cli_contract` ctest case and inside the
 `serving-smoke` CI job.
@@ -83,6 +86,7 @@ VALUE_FLAGS = {
     "--max-inflight": "2",
     "--cache": "4",
     "--max-incremental-sessions": "4",
+    "--max-warm-slots": "4",
     "--cycle-policy": "greedy_reverse",
     "--drain-timeout": "1.5",
     "--stats-every": "2",
@@ -228,6 +232,38 @@ def check_session_cap(binary: str) -> None:
               detail if not ok else f"daemon exit {exit_code}")
 
 
+def check_warm_slot_cap(binary: str) -> None:
+    """--max-warm-slots N keeps at most N warm slots (FIFO).
+
+    Two warm bases are solved one at a time; at cap 1 the second solve
+    evicts the first's slot, so a delta on the first fingerprint
+    finds no warm state — while at cap 2 the identical stream ends ok.
+    """
+    edges_a = [[3, 1], [3, 2], [1, 0], [2, 0]]
+    edges_b = [[3, 2], [2, 1], [1, 0]]
+    for cap, want_error, label in ((1, "unknown_fingerprint", "evicts"),
+                                   (2, None, "keeps")):
+        session = PipeSession(binary, ["--threads", "2",
+                                       "--max-warm-slots", str(cap)])
+        try:
+            fp_a = session.ask(graph_frame("a", edges_a, warm=True))
+            session.ask(graph_frame("b", edges_b, warm=True))
+            tail = session.ask(delta_frame("da", fp_a["fingerprint"]))
+            exit_code = session.close()
+        finally:
+            if session.proc.poll() is None:
+                session.proc.kill()
+        if want_error is None:
+            ok = tail.get("status") == "ok"
+            detail = f"wanted ok, got {tail}"
+        else:
+            ok = tail.get("error") == want_error
+            detail = f"wanted {want_error}, got {tail}"
+        check(ok and exit_code == 0,
+              f"--max-warm-slots {cap} {label} the first warm state",
+              detail if not ok else f"daemon exit {exit_code}")
+
+
 def check_socket_lifecycle(binary: str, transport: str) -> None:
     """--listen/--unix start a daemon that SIGTERM drains to exit 0."""
     if transport == "unix":
@@ -276,6 +312,7 @@ def main() -> int:
 
     check_parse_matrix(args.binary, help_flags - {"--help"})
     check_session_cap(args.binary)
+    check_warm_slot_cap(args.binary)
     check_socket_lifecycle(args.binary, "tcp")
     check_socket_lifecycle(args.binary, "unix")
 

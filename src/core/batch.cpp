@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/incremental.hpp"
 #include "graph/algorithms.hpp"
 #include "support/check.hpp"
 
@@ -74,6 +75,18 @@ BatchJobId BatchSolver::submit(const SolveRequest& request) {
   return id;
 }
 
+BatchJobId BatchSolver::submit_update(IncrementalSolver& update) {
+  ACOLAY_CHECK_MSG(update.staged(),
+                   "submit_update needs a successfully staged update");
+  const BatchJobId id = jobs_.size();
+  jobs_.emplace_back(SolveRequest{});
+  Job& job = jobs_.back();
+  job.update = &update;
+  unfinished_.fetch_add(1, std::memory_order_relaxed);
+  pool_.submit([this, &job, id] { run_job(job, id); });
+  return id;
+}
+
 BatchJobId BatchSolver::submit(const graph::Digraph& g,
                                const AcoParams& params) {
   // Deprecated shim: reproduce the historical throwing admission exactly
@@ -90,18 +103,24 @@ BatchJobId BatchSolver::submit(const graph::Digraph& g,
 
 void BatchSolver::run_job(Job& job, BatchJobId id) {
   try {
-    const std::size_t worker = support::ThreadPool::worker_index();
-    ACOLAY_CHECK_MSG(worker < worker_ws_.size(),
-                     "batch job running outside the solver's pool");
-    ColonyWorkspace& ws = worker_ws_[worker];
-    // Size the worker's pools to the largest admitted graph: the stretched
-    // layer count never exceeds the vertex count, so (n, n) bounds both
-    // axes. Monotonic, so steady state performs no allocation here.
-    const std::size_t n = max_vertices_.load(std::memory_order_relaxed);
-    ws.reserve(max_ants_.load(std::memory_order_relaxed), n, n);
-    job.outcome.result =
-        run_colony(*job.request.graph, job.csr, job.request.params, ws,
-                   /*ant_pool=*/nullptr, job.request.warm_tau);
+    if (job.update != nullptr) {
+      // A staged incremental update owns its workspace: just finish it.
+      job.outcome = job.update->finish();
+    } else {
+      const std::size_t worker = support::ThreadPool::worker_index();
+      ACOLAY_CHECK_MSG(worker < worker_ws_.size(),
+                       "batch job running outside the solver's pool");
+      ColonyWorkspace& ws = worker_ws_[worker];
+      // Size the worker's pools to the largest admitted graph: the
+      // stretched layer count never exceeds the vertex count, so (n, n)
+      // bounds both axes. Monotonic, so steady state performs no
+      // allocation here.
+      const std::size_t n = max_vertices_.load(std::memory_order_relaxed);
+      ws.reserve(max_ants_.load(std::memory_order_relaxed), n, n);
+      job.outcome.result =
+          run_colony(*job.request.graph, job.csr, job.request.params, ws,
+                     /*ant_pool=*/nullptr, job.request.warm_tau);
+    }
     if (options_.completion_gate) options_.completion_gate(id);
   } catch (const std::exception& e) {
     job.error = std::current_exception();
@@ -121,6 +140,7 @@ void BatchSolver::run_job(Job& job, BatchJobId id) {
     unfinished_.fetch_sub(1, std::memory_order_relaxed);
   }
   job_finished_.notify_all();
+  if (options_.wake != nullptr) options_.wake->notify();
 }
 
 const BatchSolver::Job& BatchSolver::job_at(BatchJobId id) const {
@@ -188,6 +208,7 @@ SolveOutcome BatchSolver::collect_outcome(BatchJobId id) {
   job.owned_dag = graph::Digraph{};
   job.request.graph = nullptr;
   job.request.warm_tau = nullptr;
+  job.update = nullptr;
   return outcome;
 }
 

@@ -27,9 +27,12 @@
 //    worker-keying cannot leak one graph's search into another's.
 //
 // The API is submit/poll/wait for request-at-a-time serving plus a
-// blocking solve_all for whole-corpus workloads. The solver itself is
-// externally synchronised: submit/poll/wait are called from the owning
-// thread; only result completion is shared with the workers.
+// blocking solve_all for whole-corpus workloads. submit_update() runs the
+// colony half of a staged IncrementalSolver update as a job like any
+// other, and BatchOptions::wake lets an event-driven owner sleep until a
+// job finishes. The solver itself is externally synchronised:
+// submit/poll/wait are called from the owning thread; only result
+// completion is shared with the workers.
 //
 // Since PR 7 the primary entry is the structured request path
 // (core::SolveRequest in, core::SolveOutcome out): admission failures are
@@ -55,8 +58,11 @@
 #include "graph/csr.hpp"
 #include "graph/digraph.hpp"
 #include "support/thread_pool.hpp"
+#include "support/wake.hpp"
 
 namespace acolay::core {
+
+class IncrementalSolver;
 
 /// Handle for a submitted job: the 0-based submission index.
 using BatchJobId = std::size_t;
@@ -78,6 +84,11 @@ struct BatchOptions {
   /// deterministic) instead of guessing how long a solve takes. It never
   /// sees or changes a result. Null, the default, is no gate.
   std::function<void(BatchJobId)> completion_gate = nullptr;
+  /// Rung (support::WakeSignal::notify) on the worker after each job is
+  /// published finished, so an event-driven owner — the serving loop —
+  /// sleeps until a harvest can make progress instead of polling. Borrowed:
+  /// must outlive the solver. Null, the default, rings nothing.
+  support::WakeSignal* wake = nullptr;
 };
 
 /// Concurrent many-graph colony solver: one whole-colony task per
@@ -112,6 +123,15 @@ class BatchSolver {
   /// outcomes are retained until collect_outcome() (long-lived solvers
   /// serving a request stream should collect).
   BatchJobId submit(const SolveRequest& request);
+
+  /// Schedules `update.finish()` — the colony half of a staged
+  /// IncrementalSolver update — as one pool job, harvested like a solve:
+  /// done()/poll_outcome()/collect_outcome() report a copy of the
+  /// update's outcome. `update` must have a successful stage() pending,
+  /// and the caller must neither touch nor destroy it until the job is
+  /// done (the worker owns it meanwhile). The solver should run serially
+  /// (AcoParams::num_threads == 1): the pool forbids nested parallelism.
+  BatchJobId submit_update(IncrementalSolver& update);
 
   /// Deprecated throwing shim (pre-PR 7 surface): validates `g` (must be
   /// a DAG) and the params, throwing support::CheckError exactly as the
@@ -187,6 +207,9 @@ class BatchSolver {
     explicit Job(const SolveRequest& r) : request(r) {}
 
     SolveRequest request;  ///< effective request (seed already derived)
+    /// Set for submit_update() jobs: the staged solver whose finish() the
+    /// job runs instead of a colony over `request`. Cleared by collect.
+    IncrementalSolver* update = nullptr;
     /// Phase 0 storage: when a cyclic graph was admitted under a
     /// non-reject CyclePolicy, the job owns the reoriented DAG and
     /// request.graph points here instead of at the caller's graph.

@@ -113,15 +113,11 @@ bool IncrementalSolver::topo_order_into(const graph::Digraph& g) {
   return order_.size() == n;
 }
 
-void IncrementalSolver::remap_pheromone(
-    const graph::GraphDelta& delta, std::size_t n_old,
-    std::span<const graph::Edge> reoriented) {
-  const std::size_t n = graph_.num_vertices();
-  const int layers = num_layers();
-
+void IncrementalSolver::mark_touched(
+    const graph::GraphDelta& delta, std::span<const graph::Edge> reoriented) {
   // A coupling is stale when the delta changed its vertex's neighbourhood
   // or width; those rows restart from tau0 (new-id space flags).
-  touched_.assign(n, 0);
+  touched_.assign(graph_.num_vertices(), 0);
   for (const graph::Edge& e : delta.add_edges) {
     touched_[static_cast<std::size_t>(e.source)] = 1;
     touched_[static_cast<std::size_t>(e.target)] = 1;
@@ -145,7 +141,11 @@ void IncrementalSolver::remap_pheromone(
     touched_[static_cast<std::size_t>(e.source)] = 1;
     touched_[static_cast<std::size_t>(e.target)] = 1;
   }
+}
 
+void IncrementalSolver::remap_pheromone(std::size_t n_old) {
+  const std::size_t n = graph_.num_vertices();
+  const int layers = num_layers();
   tau_scratch_.reset(n, layers, params_.tau0);
   if (ws_.tau.num_vertices() == n_old) {
     const auto copy_cols = std::min(static_cast<std::size_t>(layers),
@@ -165,7 +165,7 @@ void IncrementalSolver::remap_pheromone(
   std::swap(ws_.tau, tau_scratch_);
 }
 
-void IncrementalSolver::repair_base(const graph::GraphDelta&) {
+void IncrementalSolver::repair_base() {
   // Seed every surviving vertex with its previous best layer, new
   // vertices with layer 1, then lift along the (already computed) reverse
   // Kahn order: layer(u) = max(floor(u), 1 + max over successors). This
@@ -215,11 +215,17 @@ void IncrementalSolver::repair_base(const graph::GraphDelta&) {
 }
 
 const SolveOutcome& IncrementalSolver::update(const graph::GraphDelta& delta) {
+  if (!stage(delta)) return outcome_;
+  return finish();
+}
+
+bool IncrementalSolver::stage(const graph::GraphDelta& delta) {
   support::Stopwatch stopwatch;
+  ACOLAY_CHECK_MSG(!staged_, "stage() while an update is already staged");
   if (!has_state_) {
     outcome_.error = AdmissionError::kBadRequest;
     outcome_.message = "update() requires prior state (solve() or adopt())";
-    return outcome_;
+    return false;
   }
 
   // Transactional apply: mutate a scratch copy, commit only once the
@@ -230,7 +236,7 @@ const SolveOutcome& IncrementalSolver::update(const graph::GraphDelta& delta) {
   if (!err.empty()) {
     outcome_.error = AdmissionError::kBadRequest;
     outcome_.message = std::move(err);
-    return outcome_;
+    return false;
   }
   outcome_.reversed_edges.clear();
   bool cycle_broken = false;
@@ -238,10 +244,11 @@ const SolveOutcome& IncrementalSolver::update(const graph::GraphDelta& delta) {
     if (options_.cycle_policy == CyclePolicy::kReject) {
       outcome_.error = AdmissionError::kCycle;
       outcome_.message = "delta introduces a cycle";
-      return outcome_;
+      return false;
     }
-    // Phase 0 on the post-delta graph, seeded like the update run below so
-    // the session stays a pure function of (initial graph, params, deltas).
+    // Phase 0 on the post-delta graph, seeded like the update run in
+    // finish() so the session stays a pure function of (initial graph,
+    // params, deltas).
     CycleResolution phase0;
     resolve_cycles(scratch_graph_, options_.cycle_policy,
                    params_.seed + static_cast<std::uint64_t>(num_updates_) + 1,
@@ -251,7 +258,7 @@ const SolveOutcome& IncrementalSolver::update(const graph::GraphDelta& delta) {
     ACOLAY_CHECK(topo_order_into(scratch_graph_));
     cycle_broken = true;
   }
-  const std::size_t n_old = graph_.num_vertices();
+  staged_n_old_ = graph_.num_vertices();
   std::swap(graph_, scratch_graph_);
 
   if (cycle_broken) {
@@ -262,8 +269,19 @@ const SolveOutcome& IncrementalSolver::update(const graph::GraphDelta& delta) {
   } else {
     last_refreeze_ = csr_.refreeze(graph_, delta, options_.churn_threshold);
   }
-  remap_pheromone(delta, n_old, outcome_.reversed_edges);
-  repair_base(delta);
+  // The last use of `delta`: finish() reads only these flags and remap_.
+  mark_touched(delta, outcome_.reversed_edges);
+  fingerprint_ = csr_.fingerprint();
+  staged_ = true;
+  staged_seconds_ = stopwatch.elapsed_seconds();
+  return true;
+}
+
+const SolveOutcome& IncrementalSolver::finish() {
+  support::Stopwatch stopwatch;
+  ACOLAY_CHECK_MSG(staged_, "finish() without a staged update");
+  remap_pheromone(staged_n_old_);
+  repair_base();
   ws_.reserve(static_cast<std::size_t>(params_.num_ants),
               graph_.num_vertices(),
               static_cast<std::size_t>(num_layers()));
@@ -295,10 +313,10 @@ const SolveOutcome& IncrementalSolver::update(const graph::GraphDelta& delta) {
     layering::normalize(outcome_.result.layering, ws_.normalize_scratch);
     outcome_.result.metrics = base_metrics;
   }
-  outcome_.result.seconds = stopwatch.elapsed_seconds();
+  outcome_.result.seconds = staged_seconds_ + stopwatch.elapsed_seconds();
   outcome_.error = AdmissionError::kNone;
   outcome_.message.clear();
-  fingerprint_ = csr_.fingerprint();
+  staged_ = false;
   ++num_updates_;
   return outcome_;
 }

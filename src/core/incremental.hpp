@@ -19,10 +19,19 @@
 //   * the re-solve runs a shortened tour budget with
 //     StagnationPolicy::kStop, so converged updates exit early.
 //
+// An update is two steps: stage(delta) applies the delta, decides
+// admission (structure, cycles, Phase 0), refreezes the CSR and re-keys
+// the fingerprint — cheap, and the only step that can reject — while
+// finish() does the colony work (pheromone remap, base repair, warm
+// tours). update() is exactly stage() + finish(); the split lets the
+// serving layer stage on its own thread, in arrival order, and run
+// finish() on a worker pool.
+//
 // Every workspace (ColonyWorkspace, the repair/remap scratch, the result
-// buffers) is reused across updates: the steady-state update() performs no
-// heap allocation (pinned with ACOLAY_ASSERT_NO_ALLOC in
-// tests/core_incremental_test.cpp for the serial path).
+// buffers) is reused across updates: the steady-state update() — and
+// stage() + finish() — performs no heap allocation (pinned with
+// ACOLAY_ASSERT_NO_ALLOC in tests/core_incremental_test.cpp for the
+// serial path).
 //
 // Determinism: an update's result is a pure function of (initial graph,
 // params, options, the delta sequence) — bit-identical across reruns and
@@ -149,20 +158,43 @@ class IncrementalSolver {
   /// it.
   void adopt(const PheromoneMatrix& tau, const layering::Layering& best);
 
-  /// Applies `delta` and re-solves warm. On a structurally invalid delta
-  /// (kBadRequest) or — under CyclePolicy::kReject — one that introduces
-  /// a cycle (kCycle) the solver state, graph included, is untouched.
-  /// Under the other policies a cycle-introducing delta is admitted: the
-  /// post-delta graph gets a feedback arc set reversed (seeded like the
-  /// update run itself, so the whole sequence stays a pure function of
-  /// (initial graph, params, options, deltas)), the reversal is reported
-  /// in the outcome's reversed_edges, and the session's graph becomes the
-  /// reoriented DAG. Requires prior state (solve()/adopt()); returns
-  /// kBadRequest otherwise. The returned outcome is borrowed and valid
-  /// until the next call; its result holds `initial_objective` = the
-  /// repaired warm base's objective, so callers can report the warm head
-  /// start.
+  /// Applies `delta` and re-solves warm: stage(delta) followed by
+  /// finish(). On a structurally invalid delta (kBadRequest) or — under
+  /// CyclePolicy::kReject — one that introduces a cycle (kCycle) the
+  /// solver state, graph included, is untouched. Under the other policies
+  /// a cycle-introducing delta is admitted: the post-delta graph gets a
+  /// feedback arc set reversed (seeded like the update run itself, so the
+  /// whole sequence stays a pure function of (initial graph, params,
+  /// options, deltas)), the reversal is reported in the outcome's
+  /// reversed_edges, and the session's graph becomes the reoriented DAG.
+  /// Requires prior state (solve()/adopt()); returns kBadRequest
+  /// otherwise. The returned outcome is borrowed and valid until the next
+  /// call; its result holds `initial_objective` = the repaired warm
+  /// base's objective, so callers can report the warm head start.
   const SolveOutcome& update(const graph::GraphDelta& delta);
+
+  /// The cheap first half of update(), and the only half that can reject:
+  /// applies `delta`, runs the cycle check (or Phase 0), refreezes the CSR
+  /// and re-keys fingerprint() to the post-delta graph. False on a
+  /// rejection, with outcome() holding the error and the solver untouched
+  /// (exactly as update() describes). `delta` is not retained: everything
+  /// finish() needs is captured here, so the caller may drop it on return.
+  /// Must not be called while an update is already staged.
+  bool stage(const graph::GraphDelta& delta);
+
+  /// The expensive second half of update(): remaps the pheromone matrix,
+  /// repairs the warm base and runs the shortened warm tours. Requires a
+  /// successful stage(); stage() + finish() is bit-identical to update().
+  /// Touches only this solver's own state, so a serving layer may run it
+  /// on another thread as long as nothing else uses the solver meanwhile.
+  /// The outcome is borrowed, valid until the next call.
+  const SolveOutcome& finish();
+
+  /// Whether stage() has succeeded and finish() is still due.
+  bool staged() const { return staged_; }
+
+  /// The last solve()/adopt()/stage()/finish()/update() outcome.
+  const SolveOutcome& outcome() const { return outcome_; }
 
  private:
   /// Layer budget of the incremental search space (= |V|, matching the
@@ -170,14 +202,17 @@ class IncrementalSolver {
   int num_layers() const;
   /// Kahn order of `g` into order_ (sources first). False on a cycle.
   bool topo_order_into(const graph::Digraph& g);
-  /// Remaps ws_.tau across the delta (see the file comment), using
-  /// `n_old` pre-delta rows. `reoriented` lists extra edges (new-id
-  /// space) whose endpoints' neighbourhoods changed beyond the delta —
-  /// the Phase 0 reversals of a cycle-breaking update.
-  void remap_pheromone(const graph::GraphDelta& delta, std::size_t n_old,
-                       std::span<const graph::Edge> reoriented);
+  /// Flags (new-id space) every vertex whose pheromone row went stale:
+  /// endpoints of changed edges, width changes, and the endpoints of
+  /// `reoriented` — the Phase 0 reversals of a cycle-breaking update,
+  /// which rewire neighbourhoods beyond the delta itself.
+  void mark_touched(const graph::GraphDelta& delta,
+                    std::span<const graph::Edge> reoriented);
+  /// Remaps ws_.tau across the staged delta (see the file comment) from
+  /// its `n_old` pre-delta rows, restarting touched rows at tau0.
+  void remap_pheromone(std::size_t n_old);
   /// Builds the repaired warm base into base_ from the previous best.
-  void repair_base(const graph::GraphDelta& delta);
+  void repair_base();
 
   graph::Digraph graph_;
   AcoParams params_;
@@ -189,6 +224,11 @@ class IncrementalSolver {
   std::uint64_t fingerprint_ = 0;
   int num_updates_ = 0;
   bool has_state_ = false;
+  /// stage() succeeded; finish() is due. The pre-delta vertex count and
+  /// the staging time are all finish() needs beyond the member scratch.
+  bool staged_ = false;
+  std::size_t staged_n_old_ = 0;
+  double staged_seconds_ = 0.0;
   graph::RefreezeKind last_refreeze_ = graph::RefreezeKind::kFull;
   /// Constructor-time Phase 0 reversal (see initial_reversed_edges()).
   std::vector<graph::Edge> initial_reversed_;

@@ -7,6 +7,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -42,6 +43,13 @@ bool write_all(int fd, const char* data, std::size_t size) {
   return true;
 }
 
+/// How late run() may notice `stop` when nobody rings the wake-up (a
+/// signal handler cannot). It does not bound serving latency: every
+/// frame, finished job and new connection rings the wake-up.
+constexpr double kStopPollSeconds = 0.05;
+/// The acceptor's back-off after a failed accept() (EMFILE and friends).
+constexpr int kAcceptBackoffMs = 50;
+
 /// A hung client must only ever block its own writer thread, and shutdown
 /// joins writers — so sends time out instead of blocking forever.
 void set_send_timeout(int fd, double seconds) {
@@ -70,10 +78,12 @@ std::string render_listener_stats_line(const ServeStats& serve,
 /// One client. The reader thread splits the byte stream into lines and
 /// queues them in `incoming`; run()'s thread moves them into the Server
 /// and queues responses in `outgoing`; the writer thread flushes those to
-/// the socket. `mutex` guards every field below the thread handles.
+/// the socket. `mutex` guards every field below the thread handles. Both
+/// threads ring `wake` whenever run()'s thread has something new to do.
 struct Listener::Connection {
   int fd = -1;
   std::uint64_t id = 0;
+  support::WakeSignal* wake = nullptr;
   std::thread reader;
   std::thread writer;
 
@@ -110,6 +120,8 @@ struct Listener::Connection {
         });
         if (closing) return;
         incoming.push_back(std::move(line));
+        lock.unlock();
+        wake->notify();
       }
       buffer.erase(0, start);
       if (buffer.size() > max_line_bytes) {
@@ -120,8 +132,11 @@ struct Listener::Connection {
         break;
       }
     }
-    const std::lock_guard<std::mutex> lock(mutex);
-    read_closed = true;
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      read_closed = true;
+    }
+    wake->notify();
   }
 
   void write_loop() {
@@ -141,12 +156,17 @@ struct Listener::Connection {
       }
       line.push_back('\n');
       const bool ok = write_all(fd, line.data(), line.size());
-      const std::lock_guard<std::mutex> lock(mutex);
-      if (!ok) {
-        write_failed = true;
-        return;
+      bool reapable = false;
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (ok) outgoing.pop_front();
+        write_failed = !ok;
+        // A dead connection, or a closed one whose last response just
+        // went out, is reap()'s to close: tell run()'s thread.
+        reapable = !ok || (read_closed && outgoing.empty());
       }
-      outgoing.pop_front();
+      if (reapable) wake->notify();
+      if (!ok) return;
     }
   }
 };
@@ -154,7 +174,15 @@ struct Listener::Connection {
 Listener::Listener(Server& server, ListenerOptions options)
     : server_(server), options_(std::move(options)) {}
 
-Listener::~Listener() { close_listen_socket(); }
+Listener::~Listener() {
+  accepting_.store(false);
+  if (acceptor_.joinable()) {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes the acceptor's poll()
+    acceptor_.join();
+  }
+  close_listen_socket();
+  for (const int fd : accepted_) ::close(fd);
+}
 
 bool Listener::start(std::string& error) {
   const bool want_tcp = options_.tcp_port >= 0;
@@ -233,17 +261,40 @@ void Listener::close_listen_socket() {
   }
 }
 
-void Listener::accept_pending() {
-  while (listen_fd_ >= 0) {
+void Listener::accept_loop() {
+  while (accepting_.load()) {
     pollfd pfd{};
     pfd.fd = listen_fd_;
     pfd.events = POLLIN;
-    if (::poll(&pfd, 1, 0) <= 0) break;
+    // Blocks until a client arrives or the socket is shut down to stop
+    // this loop (run() at stop, or the destructor) — then accept() would
+    // only fail, so the flag is checked first.
+    if (::poll(&pfd, 1, -1) <= 0 || !accepting_.load()) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
+      // EMFILE and friends leave the client pending in the backlog, so
+      // poll() reports it again at once: back off instead of spinning.
+      if (errno != EINTR && errno != EAGAIN && errno != ECONNABORTED) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(kAcceptBackoffMs));
+      }
+      continue;
     }
+    {
+      const std::lock_guard<std::mutex> lock(accept_mutex_);
+      accepted_.push_back(fd);
+    }
+    server_.wake().notify();
+  }
+}
+
+void Listener::accept_pending() {
+  std::vector<int> fresh;
+  {
+    const std::lock_guard<std::mutex> lock(accept_mutex_);
+    fresh.swap(accepted_);
+  }
+  for (const int fd : fresh) {
     if (connections_.size() >= options_.max_clients) {
       ++stats_.rejected;
       ::close(fd);
@@ -253,6 +304,7 @@ void Listener::accept_pending() {
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     conn->id = next_connection_id_++;
+    conn->wake = &server_.wake();
     Connection* raw = conn.get();
     const std::size_t max_line = server_.options().limits.max_line_bytes;
     const std::size_t max_pending = options_.max_pending_per_connection;
@@ -348,32 +400,47 @@ void Listener::reap(bool force_close) {
 }
 
 void Listener::run(const std::atomic<bool>& stop, std::ostream* info) {
+  support::WakeSignal& wake = server_.wake();
+  accepting_.store(true);
+  acceptor_ = std::thread([this] { accept_loop(); });
+
   support::Stopwatch stats_watch;
+  const bool stats_lines =
+      options_.stats_every_seconds > 0.0 && info != nullptr;
   while (!stop.load(std::memory_order_relaxed)) {
+    // Snapshot before the sweep: any event after this point bumps the
+    // generation, so the wait below returns at once instead of missing it.
+    const std::uint64_t seen = wake.generation();
     accept_pending();
     bool progress = pump();
     progress = server_.step() || progress;
     progress = route_responses() || progress;
     reap(false);
-    if (options_.stats_every_seconds > 0.0 && info != nullptr &&
-        stats_watch.elapsed_seconds() >= options_.stats_every_seconds) {
-      *info << render_listener_stats_line(server_.stats(), stats_) << '\n';
-      info->flush();
-      stats_watch.reset();
+    double timeout = kStopPollSeconds;
+    if (stats_lines) {
+      if (stats_watch.elapsed_seconds() >= options_.stats_every_seconds) {
+        *info << render_listener_stats_line(server_.stats(), stats_) << '\n';
+        info->flush();
+        stats_watch.reset();
+      }
+      timeout = std::min(timeout, options_.stats_every_seconds -
+                                      stats_watch.elapsed_seconds());
     }
-    if (!progress) {
-      // Nothing moved: sleep a tick instead of spinning. 1 ms bounds the
-      // added latency the same way serve_stream's poll does.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    if (!progress) wake.wait_for(seen, timeout);
   }
 
   // Drain: no new clients, no new frames; everything already received
   // gets drain_timeout_seconds to finish and flush.
+  accepting_.store(false);
+  ::shutdown(listen_fd_, SHUT_RDWR);  // wakes the acceptor's poll()
+  acceptor_.join();
   close_listen_socket();
+  for (const int fd : accepted_) ::close(fd);  // arrived after `stop`
+  accepted_.clear();
   for (const auto& conn : connections_) ::shutdown(conn->fd, SHUT_RD);
   support::Stopwatch drain_watch;
   for (;;) {
+    const std::uint64_t seen = wake.generation();
     bool progress = pump();
     progress = server_.step() || progress;
     progress = route_responses() || progress;
@@ -385,10 +452,10 @@ void Listener::run(const std::atomic<bool>& stop, std::ostream* info) {
       }
       if (idle) break;
     }
-    if (drain_watch.elapsed_seconds() > options_.drain_timeout_seconds) break;
-    if (!progress) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    const double left =
+        options_.drain_timeout_seconds - drain_watch.elapsed_seconds();
+    if (left <= 0.0) break;
+    if (!progress) wake.wait_for(seen, left);
   }
   reap(true);
 }

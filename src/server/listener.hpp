@@ -23,10 +23,21 @@
 //    the daemon or another client's stream.
 //
 // Threading: one serving thread (the caller of run()) owns the Server;
-// each connection gets a reader thread (blocking read + line split) and a
-// writer thread (blocking write of queued responses), so one slow or hung
-// client blocks only its own pair. All shared state is guarded by one
-// listener mutex; the Server itself is only ever touched by run().
+// an acceptor thread blocks on the listen socket, and each connection
+// gets a reader thread (blocking read + line split) and a writer thread
+// (blocking write of queued responses), so one slow or hung client blocks
+// only its own pair. Each connection's queues are guarded by its own
+// mutex; the Server itself is only ever touched by run().
+//
+// Wake-ups: the serving thread sleeps on the Server's wake()
+// (support::WakeSignal) whenever a sweep moves nothing. The acceptor
+// rings it after accepting a connection, readers after queuing a line or
+// closing, writers after a failed write or flushing a closed client's
+// last response, and the BatchSolver after each finished job — so the
+// loop runs on events, not on a polling tick. The only timed wait left
+// bounds how late run() notices `stop` (set from a signal handler, which
+// cannot ring a condition variable) and, with
+// ListenerOptions::stats_every_seconds, when the next stats line is due.
 //
 // Shutdown: run() returns when `stop` becomes true (the binary sets it
 // from SIGINT/SIGTERM): the listen socket closes first (no new clients),
@@ -42,7 +53,9 @@
 #include <deque>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "server/session.hpp"
@@ -118,8 +131,10 @@ class Listener {
   int port() const { return port_; }
 
   /// Serves until `stop` becomes true, then drains and returns (see file
-  /// comment). `info` (may be null) receives the periodic and shutdown
-  /// stats lines.
+  /// comment). A caller that can should ring the server's wake() after
+  /// raising `stop` so run() notices at once; otherwise (a signal
+  /// handler) it notices within 50 ms. `info` (may be null) receives the
+  /// periodic and shutdown stats lines.
   void run(const std::atomic<bool>& stop, std::ostream* info);
 
   /// Transport counters so far (read from run()'s thread, or after it).
@@ -128,6 +143,11 @@ class Listener {
  private:
   struct Connection;
 
+  /// The acceptor thread's loop: accepts connections into accepted_ and
+  /// rings the wake-up, until accepting_ drops.
+  void accept_loop();
+  /// Turns accepted sockets into Connections (or closes them at the
+  /// max_clients cap) on the serving thread.
   void accept_pending();
   /// Fair sweep: at most one queued frame per connection per round.
   bool pump();
@@ -143,6 +163,11 @@ class Listener {
   std::string endpoint_;
   int port_ = -1;
   bool bound_unix_ = false;
+  std::atomic<bool> accepting_{false};
+  std::mutex accept_mutex_;
+  std::vector<int> accepted_;  ///< accepted fds not yet taken (accept_mutex_)
+  /// Runs accept_loop() during run(); declared after what it uses.
+  std::thread acceptor_;
   std::vector<std::unique_ptr<Connection>> connections_;
   std::deque<std::uint64_t> origin_;  ///< connection id per pushed frame,
                                       ///< FIFO-matched to Server responses

@@ -6,12 +6,12 @@ namespace acolay::server {
 
 bool RequestQueue::before(const Item& a, const Item& b) {
   if (a.priority != b.priority) return a.priority < b.priority;
-  return a.seq > b.seq;
+  return a.entry > b.entry;
 }
 
 bool RequestQueue::push(std::size_t entry, int priority) {
   if (heap_.size() >= capacity_) return false;
-  heap_.push_back(Item{priority, next_seq_++, entry});
+  heap_.push_back(Item{priority, entry});
   std::push_heap(heap_.begin(), heap_.end(), before);
   return true;
 }

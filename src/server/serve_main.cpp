@@ -34,11 +34,14 @@ int usage(std::ostream& out, int exit_code) {
          "  --threads N       solver worker threads (0 = hardware, default)\n"
          "  --queue-depth N   pending requests before 'overloaded' "
          "(default 64)\n"
-         "  --max-inflight N  concurrent colonies (0 = worker count)\n"
+         "  --max-inflight N  concurrent solve colonies (0 = worker count)\n"
          "  --cache N         dedup result-cache capacity (default 64)\n"
          "  --max-incremental-sessions N\n"
          "                    live delta sessions kept, FIFO-evicted; 0\n"
          "                    disables delta frames (default 8)\n"
+         "  --max-warm-slots N\n"
+         "                    warm pheromone slots kept, oldest evicted once\n"
+         "                    unused; 0 keeps no warm state (default 64)\n"
          "  --cycle-policy P  default handling of cyclic graphs for frames\n"
          "                    without a \"cycle_policy\" key: reject |\n"
          "                    greedy_reverse | aco_fas (default reject)\n"
@@ -168,6 +171,10 @@ int main(int argc, char** argv) {
       if (!parse_size(value, options.max_incremental_sessions)) {
         return bad_value(value);
       }
+    } else if (arg == "--max-warm-slots") {
+      std::string_view value;
+      if (!take_value(value)) return missing_value();
+      if (!parse_size(value, options.max_warm_slots)) return bad_value(value);
     } else if (arg == "--listen") {
       std::string_view value;
       std::size_t parsed = 0;

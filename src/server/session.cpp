@@ -1,8 +1,6 @@
 #include "server/session.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <istream>
 #include <memory>
 #include <mutex>
@@ -13,6 +11,7 @@
 
 #include "graph/csr.hpp"
 #include "io/json.hpp"
+#include "support/check.hpp"
 
 namespace acolay::server {
 
@@ -20,11 +19,13 @@ namespace {
 
 using core::AdmissionError;
 
-core::BatchOptions solver_options(const ServeOptions& options) {
+core::BatchOptions solver_options(const ServeOptions& options,
+                                  support::WakeSignal* wake) {
   core::BatchOptions batch;
   batch.num_threads = options.num_threads;
   batch.derive_seeds = false;  // the wire seed is authoritative
   batch.completion_gate = options.completion_gate;
+  batch.wake = wake;
   return batch;
 }
 
@@ -102,7 +103,7 @@ Server::Server(ServeOptions options)
                                return stopwatch_.elapsed_seconds();
                              })),
       queue_(options.max_queue_depth),
-      solver_(solver_options(options)) {
+      solver_(solver_options(options, &wake_)) {
   max_inflight_ = options_.max_inflight == 0 ? solver_.num_threads()
                                              : options_.max_inflight;
   if (max_inflight_ == 0) max_inflight_ = 1;
@@ -119,6 +120,7 @@ void Server::push_line(std::string_view line) {
   // Harvest/dispatch first so the overload check below sees the live
   // queue, not one stale by everything that finished since the last push.
   harvest();
+  resolve_held();
   dispatch();
 
   const std::size_t index = entries_.size();
@@ -137,20 +139,26 @@ void Server::push_line(std::string_view line) {
     return;
   }
 
-  if (parsed.kind != RequestKind::kSolve) {
-    // Delta and stats frames are sequencing points: everything that
-    // arrived earlier completes (and is answered) first, so both the
-    // snapshot a stats frame reports and the state a delta builds on are
-    // pure functions of the input stream — the property the golden
-    // transcript diffs. kHeld keeps this entry from emitting mid-drain.
+  if (parsed.kind == RequestKind::kStats) {
+    // Stats frames are the sequencing point: everything that arrived
+    // earlier completes (and is answered) first, so the snapshot is a pure
+    // function of the input stream — the property the golden transcript
+    // diffs. kHeld keeps this entry from emitting mid-drain.
     entry.state = State::kHeld;
     drain();
-    if (parsed.kind == RequestKind::kStats) {
-      entry.canned = render_stats_response(entry.id, stats_);
-      entry.state = State::kDone;
-    } else {
-      handle_delta(entry, parsed);
-    }
+    entry.canned = render_stats_response(entry.id, stats_);
+    entry.state = State::kDone;
+    emit();
+    return;
+  }
+  if (parsed.kind == RequestKind::kDelta) {
+    // Deltas queue behind earlier deltas and warm-slot claims only;
+    // resolve_held() stages this one now unless it must wait for
+    // in-flight work (file comment).
+    entry.state = State::kHeld;
+    held_.push_back(
+        Held{index, parsed.base_fingerprint, std::move(parsed.delta)});
+    resolve_held();
     emit();
     return;
   }
@@ -194,33 +202,65 @@ void Server::push_line(std::string_view line) {
   entry.fingerprint = graph::CsrView(entry.graph).fingerprint();
   entry.state = State::kQueued;
   ++stats_.admitted;
+  if (entry.warm) {
+    // Its slot is claimed in arrival order, among the held deltas, so the
+    // store's membership is what one-at-a-time processing gives.
+    held_.push_back(Held{index, entry.fingerprint, {}});
+    resolve_held();
+  }
 
   dispatch();
   emit();
 }
 
-void Server::handle_delta(Entry& entry, ParsedRequest& parsed) {
-  // A live session chain first (keyed by its current fingerprint) …
+bool Server::resolve_held() {
+  bool progress = false;
+  while (!held_.empty()) {
+    Held& held = held_.front();
+    const bool resolved = entries_[held.index].warm
+                              ? claim_warm_slot(held.base)
+                              : resolve_delta(held);
+    if (!resolved) break;
+    held_.pop_front();
+    progress = true;
+  }
+  return progress;
+}
+
+bool Server::resolve_delta(Held& held) {
+  Entry& entry = entries_[held.index];
+  // A live session chain first (keyed by its current fingerprint, which
+  // stage() already moved on for an update still in flight) …
   IncSession* session = nullptr;
   for (IncSession& s : sessions_) {
-    if (s.fingerprint == parsed.base_fingerprint) {
+    if (s.solver != nullptr && s.fingerprint == held.base) {
       session = &s;
       break;
     }
   }
+  if (session != nullptr && session->busy) return false;
   // … otherwise seed a new session from the warm slot the referenced
-  // solve wrote back. The slot keeps its own copy: the warm chain and the
-  // delta chain evolve independently from the snapshot point.
+  // solve wrote back — once every earlier-arrived warm solve of that
+  // fingerprint has written back, so the slot holds what one-at-a-time
+  // processing would see. The slot keeps its own copy: the warm chain and
+  // the delta chain evolve independently from the snapshot point.
   if (session == nullptr && options_.max_incremental_sessions > 0) {
-    for (WarmSlot& slot : warm_) {
-      if (slot.fingerprint != parsed.base_fingerprint || !slot.has_state) {
-        continue;
+    for (std::size_t j = next_emit_; j < held.index; ++j) {
+      const Entry& earlier = entries_[j];
+      if (earlier.warm && earlier.fingerprint == held.base &&
+          earlier.state != State::kDone) {
+        return false;
       }
+    }
+    const WarmSlot* slot = find_warm_slot(held.base);
+    if (slot != nullptr && slot->has_state) {
       if (sessions_.size() >= options_.max_incremental_sessions) {
+        // Never evict a session whose update is in flight: wait for it.
+        if (sessions_.front().busy) return false;
         sessions_.pop_front();
       }
-      core::AcoParams params = slot.params;
-      // Updates run inline on the session thread; bit-identity across
+      core::AcoParams params = slot->params;
+      // Updates run serially inside one pool job; bit-identity across
       // thread counts makes the serial choice invisible in the results.
       params.num_threads = 1;
       // The session inherits the establishing solve's cycle policy, so a
@@ -228,47 +268,68 @@ void Server::handle_delta(Entry& entry, ParsedRequest& parsed) {
       // cyclic warm graph re-derives the same Phase 0 reversal — same
       // graph, same policy, same seed).
       core::IncrementalOptions inc_options;
-      inc_options.cycle_policy = slot.cycle_policy;
+      inc_options.cycle_policy = slot->cycle_policy;
       sessions_.emplace_back();
       session = &sessions_.back();
-      session->fingerprint = slot.fingerprint;
+      session->fingerprint = slot->fingerprint;
       session->solver = std::make_unique<core::IncrementalSolver>(
-          slot.graph, params, inc_options);
-      session->solver->adopt(slot.tau, slot.best);
+          slot->graph, params, inc_options);
+      session->solver->adopt(slot->tau, slot->best);
       ++stats_.incremental_sessions;
-      break;
     }
   }
   if (session == nullptr) {
     ++stats_.rejected_invalid;
     reject(entry, AdmissionError::kUnknownFingerprint,
-           "no warm state for fingerprint " +
-               fingerprint_hex(parsed.base_fingerprint) +
+           "no warm state for fingerprint " + fingerprint_hex(held.base) +
                " (solve it with \"warm\": true first)");
-    return;
+    return true;
   }
 
-  entry.outcome = session->solver->update(parsed.delta);
-  entry.state = State::kDone;
-  if (entry.outcome.ok()) {
-    // Re-key the chain: the next delta references the NEW fingerprint,
-    // which the ok response reports.
-    session->fingerprint = session->solver->fingerprint();
-    entry.fingerprint = session->fingerprint;
-    entry.report_fingerprint = true;
-    ++stats_.delta_updates;
-  } else {
+  if (!session->solver->stage(held.edit)) {
     ++stats_.rejected_invalid;
+    const core::SolveOutcome& rejected = session->solver->outcome();
+    reject(entry, rejected.error, rejected.message);
+    return true;
   }
+  // Re-key the chain now: the next delta references the NEW fingerprint
+  // (which the ok response reports) and may arrive before this update's
+  // colony finishes; it then waits on `busy`.
+  session->fingerprint = session->solver->fingerprint();
+  session->busy = true;
+  entry.fingerprint = session->fingerprint;
+  entry.report_fingerprint = true;
+  entry.job = solver_.submit_update(*session->solver);
+  entry.state = State::kInflight;
+  updating_.push_back(Update{held.index, session});
+  return true;
 }
 
-Server::WarmSlot& Server::warm_slot(std::uint64_t fingerprint) {
+Server::WarmSlot* Server::find_warm_slot(std::uint64_t fingerprint) {
   for (WarmSlot& slot : warm_) {
-    if (slot.fingerprint == fingerprint) return slot;
+    if (slot.fingerprint == fingerprint) return &slot;
+  }
+  return nullptr;
+}
+
+bool Server::claim_warm_slot(std::uint64_t fingerprint) {
+  if (WarmSlot* slot = find_warm_slot(fingerprint)) {
+    ++slot->users;
+    return true;
+  }
+  if (options_.max_warm_slots == 0) return true;  // no slot: runs cold
+  if (warm_.size() >= options_.max_warm_slots) {
+    // Only the oldest slot may go, and only once no warm solve holds it:
+    // erasing anywhere else in the deque, or a busy slot, would dangle the
+    // matrix pointer an in-flight warm job writes through. Serially the
+    // oldest slot always has gone here, so wait rather than skip it.
+    if (warm_.front().users > 0) return false;
+    warm_.pop_front();
   }
   warm_.emplace_back();
   warm_.back().fingerprint = fingerprint;
-  return warm_.back();
+  warm_.back().users = 1;
+  return true;
 }
 
 bool Server::try_dedup(std::size_t index) {
@@ -306,13 +367,23 @@ bool Server::try_dedup(std::size_t index) {
 
 bool Server::dispatch() {
   bool progress = false;
+  std::vector<std::size_t> deferred;  // allocates only when one is deferred
   while (inflight_.size() < max_inflight_) {
     const auto popped = queue_.pop();
     if (!popped) break;
     const std::size_t index = *popped;
     Entry& entry = entries_[index];
-    progress = true;
 
+    // A warm solve waits for its own slot claim, which resolves only after
+    // every earlier held delta: it never overtakes one, since it could
+    // rewrite the warm state that delta is about to seed its session
+    // from. Set aside and re-queued below, in place — the queue orders by
+    // arrival index — so earlier work keeps dispatching.
+    if (entry.warm && !held_.empty() && held_.front().index <= index) {
+      deferred.push_back(index);
+      continue;
+    }
+    WarmSlot* slot = entry.warm ? find_warm_slot(entry.fingerprint) : nullptr;
     // Deadline shedding happens here, at dispatch: a request that expired
     // while queued is answered without ever running its colony. Dispatched
     // colonies always run to completion (no mid-solve cancellation).
@@ -320,29 +391,38 @@ bool Server::dispatch() {
       ++stats_.rejected_deadline;
       reject(entry, AdmissionError::kDeadlineExpired,
              "deadline expired before dispatch");
+      if (slot != nullptr) --slot->users;
+      progress = true;
       continue;
     }
+    progress = true;
     if (try_dedup(index)) continue;
 
     core::SolveRequest request;
     request.graph = &entry.graph;
     request.params = entry.params;
     request.cycle_policy = entry.cycle_policy;
-    if (entry.warm) {
+    if (slot != nullptr) {
       // One in-flight warm run per fingerprint: the matrix is written back
       // by the worker, so a second concurrent warm run on the same slot
-      // would race. Latecomers run cold (and do not write back).
-      WarmSlot& slot = warm_slot(entry.fingerprint);
-      if (!slot.busy) {
-        slot.busy = true;
+      // would race. Latecomers run cold, do not write back, and let go of
+      // their claim at once.
+      if (slot->busy) {
+        --slot->users;
+      } else {
+        slot->busy = true;
         entry.warm_attached = true;
-        if (slot.tau.num_vertices() > 0) ++stats_.warm_reused;
-        request.warm_tau = &slot.tau;
+        if (slot->tau.num_vertices() > 0) ++stats_.warm_reused;
+        request.warm_tau = &slot->tau;
       }
     }
     entry.job = solver_.submit(request);
     entry.state = State::kInflight;
     inflight_.push_back(index);
+  }
+  // Popped just now, so the queue has room for every one of them.
+  for (const std::size_t index : deferred) {
+    queue_.push(index, entries_[index].priority);
   }
   return progress;
 }
@@ -359,8 +439,10 @@ bool Server::harvest() {
     entry.state = State::kDone;
     ++stats_.solved;
     if (entry.warm_attached) {
-      WarmSlot& slot = warm_slot(entry.fingerprint);
+      // Present: a slot with users is never evicted.
+      WarmSlot& slot = *find_warm_slot(entry.fingerprint);
       slot.busy = false;
+      --slot.users;
       if (entry.outcome.ok()) {
         // Snapshot what a delta session needs (the worker already wrote
         // the final matrix into slot.tau): the graph before emit() sheds
@@ -403,6 +485,29 @@ bool Server::harvest() {
     it = inflight_.erase(it);
     progress = true;
   }
+
+  for (auto it = updating_.begin(); it != updating_.end();) {
+    Entry& entry = entries_[it->index];
+    if (!solver_.done(entry.job)) {
+      ++it;
+      continue;
+    }
+    entry.outcome = solver_.collect_outcome(entry.job);
+    entry.state = State::kDone;
+    IncSession& session = *it->session;
+    session.busy = false;
+    if (entry.outcome.ok()) {
+      ++stats_.delta_updates;
+    } else {
+      // finish() failed inside the solver (kInternal): the chain's state
+      // is unknown, so retire it. Later deltas on its fingerprint are then
+      // unknown_fingerprint instead of landing on a half-updated solver.
+      ++stats_.rejected_invalid;
+      session.solver.reset();
+    }
+    it = updating_.erase(it);
+    progress = true;
+  }
   return progress;
 }
 
@@ -437,18 +542,26 @@ bool Server::emit() {
 
 bool Server::step() {
   const bool harvested = harvest();
+  // Before dispatch: a delta unblocked by this harvest resolves first, so
+  // a warm solve deferred behind it can go in the same step.
+  const bool resolved = resolve_held();
   const bool dispatched = dispatch();
   const bool emitted = emit();
-  return harvested || dispatched || emitted;
+  return harvested || resolved || dispatched || emitted;
 }
 
 void Server::drain() {
   for (;;) {
-    step();
-    if (inflight_.empty() && queue_.empty()) break;
-    // Every dispatched colony runs to completion, so waiting on the solver
-    // always unblocks the next harvest.
-    if (!inflight_.empty()) solver_.wait_all();
+    const bool moved = step();
+    const bool busy = !inflight_.empty() || !updating_.empty();
+    if (!busy && queue_.empty() && held_.empty()) break;
+    // Every job runs to completion, so waiting on the solver always
+    // unblocks the next harvest; with nothing in flight, a held step or a
+    // queued solve can always move (a held step only ever waits on
+    // in-flight work or on earlier-arrived solves, whose claims have
+    // resolved, so they are never deferred).
+    ACOLAY_CHECK_MSG(busy || moved, "Server::drain made no progress");
+    if (busy) solver_.wait_all();
   }
 }
 
@@ -463,8 +576,8 @@ std::size_t Server::outstanding() const {
 }
 
 void serve_stream(std::istream& in, std::ostream& out, Server& server) {
+  support::WakeSignal& wake = server.wake();
   std::mutex mutex;
-  std::condition_variable arrived;
   std::deque<std::string> lines;
   bool eof = false;
 
@@ -477,29 +590,28 @@ void serve_stream(std::istream& in, std::ostream& out, Server& server) {
         const std::lock_guard<std::mutex> lock(mutex);
         lines.push_back(std::move(line));
       }
-      arrived.notify_one();
+      wake.notify();
     }
     {
       const std::lock_guard<std::mutex> lock(mutex);
       eof = true;
     }
-    arrived.notify_one();
+    wake.notify();
   });
 
   for (;;) {
+    // Snapshot first: a line or a finished job landing after this point
+    // bumps the generation, so the wait below cannot miss it.
+    const std::uint64_t seen = wake.generation();
     std::deque<std::string> batch;
     bool at_eof = false;
     {
-      std::unique_lock<std::mutex> lock(mutex);
-      // 1 ms poll bounds response latency while colonies finish in the
-      // background with no new input to wake us.
-      arrived.wait_for(lock, std::chrono::milliseconds(1),
-                       [&] { return eof || !lines.empty(); });
+      const std::lock_guard<std::mutex> lock(mutex);
       batch.swap(lines);
       at_eof = eof;
     }
     for (const std::string& line : batch) server.push_line(line);
-    server.step();
+    const bool moved = server.step();
     const std::vector<std::string> responses = server.take_responses();
     if (!responses.empty()) {
       for (const std::string& response : responses) out << response << '\n';
@@ -508,6 +620,7 @@ void serve_stream(std::istream& in, std::ostream& out, Server& server) {
       out.flush();
     }
     if (at_eof && batch.empty() && server.outstanding() == 0) break;
+    if (batch.empty() && !moved) wake.wait(seen);
   }
   reader.join();
 }

@@ -24,21 +24,35 @@
 //    "deduped": true either way;
 //  * warm pheromone reuse — opt-in per request ("warm": true): repeat
 //    graphs adopt the previous run's final pheromone matrix (one slot per
-//    fingerprint, one in-flight warm run per slot). Warm results depend
-//    on the chain order, so they are excluded from dedup, from the result
-//    cache, and from the bit-identity contract below;
+//    fingerprint, at most max_warm_slots of them; one in-flight warm run
+//    per slot). A warm solve claims its slot in arrival order, on the
+//    serving thread, before it may dispatch; claiming a new fingerprint
+//    with the store full evicts the oldest slot, waiting until no warm
+//    solve holds it — so which fingerprints have warm state is exactly
+//    what one-at-a-time processing gives. Warm results depend on the
+//    chain order, so they are excluded from dedup, from the result cache,
+//    and from the bit-identity contract below;
 //  * incremental re-layering — "delta" frames reference a prior warm
 //    solve's fingerprint and re-solve the edited graph warm on a
-//    core::IncrementalSolver session (docs/SERVING.md). A delta frame is
-//    a SEQUENCING POINT: the server drains all earlier-arrived work
-//    before applying it, so the response stream stays a pure function of
-//    the input stream. Sessions are linear chains — each successful
-//    update re-keys its session to the new fingerprint, which the ok
-//    response reports; an unmatched base is rejected
-//    `unknown_fingerprint`;
-//  * stats — "stats" frames (also draining sequencing points) answer with
-//    a schema-tagged counter snapshot, shared byte-for-byte with the
-//    --stats shutdown line.
+//    core::IncrementalSolver session (docs/SERVING.md). Deltas are
+//    ordered PER SESSION, not globally: held deltas are resolved strictly
+//    in arrival order on the serving thread, interleaved with the warm
+//    slot claims (session lookup, creation from a warm slot, FIFO
+//    eviction, IncrementalSolver::stage), so session keying is exactly
+//    what one-at-a-time processing gives, and
+//    the colony half (IncrementalSolver::finish) runs as a pool job on the
+//    embedded BatchSolver. A delta waits only while its session already
+//    has an update in flight, while an earlier-arrived warm solve of its
+//    base fingerprint is unfinished, or while creating its session would
+//    evict a busy one; a later warm solve never overtakes a held delta.
+//    Sessions are linear chains — each successful stage re-keys its
+//    session to the new fingerprint, which the ok response reports; an
+//    unmatched base is rejected `unknown_fingerprint`, and so is every
+//    later delta on a chain whose update failed inside the solver;
+//  * stats — "stats" frames are the one sequencing point: the server
+//    drains all earlier-arrived work, then answers with a schema-tagged
+//    counter snapshot, shared byte-for-byte with the --stats shutdown
+//    line.
 //
 // Serving contract (pinned by tests/server_session_test.cpp): a cold
 // (non-warm) served result is bit-identical to a direct
@@ -48,9 +62,13 @@
 // already makes identical.
 //
 // Threading: the Server itself is single-threaded (one owner calls
-// push_line/step/drain); all parallelism lives inside the embedded
-// BatchSolver. serve_stream() wraps a Server in the blocking
-// stdin/stdout pipe loop the acolay_serve binary runs.
+// push_line/step/drain); all parallelism — solves and the finish() half
+// of delta updates — lives inside the embedded BatchSolver. The owner's
+// loop sleeps on wake() (support::WakeSignal): the BatchSolver rings it
+// each time a job finishes, and the owner's input sources ring it when a
+// frame arrives, so the loop wakes on events, never on a timer.
+// serve_stream() wraps a Server in the blocking stdin/stdout pipe loop
+// the acolay_serve binary runs.
 #pragma once
 
 #include <cstddef>
@@ -72,6 +90,7 @@
 #include "server/protocol.hpp"
 #include "server/queue.hpp"
 #include "support/timer.hpp"
+#include "support/wake.hpp"
 
 namespace acolay::io {
 class JsonWriter;
@@ -89,7 +108,9 @@ struct ServeOptions {
   RequestLimits limits;
   /// Pending requests admitted before backpressure (`overloaded`).
   std::size_t max_queue_depth = 64;
-  /// Colonies in flight at once; 0 = the solver's worker count.
+  /// Solve colonies in flight at once; 0 = the solver's worker count.
+  /// Staged delta updates bypass the queue and this cap (they are ordered
+  /// per session instead) and share the pool's workers FIFO.
   std::size_t max_inflight = 0;
   /// Completed (graph, params, outcome) records kept for dedup; FIFO
   /// eviction. 0 disables the completed-result side of dedup.
@@ -101,6 +122,12 @@ struct ServeOptions {
   /// Live incremental ("delta") sessions kept at once; FIFO eviction.
   /// 0 disables delta frames entirely (rejected unknown_fingerprint).
   std::size_t max_incremental_sessions = 8;
+  /// Warm pheromone slots kept at once (one per fingerprint); FIFO
+  /// eviction of the oldest slot when a warm solve of a new fingerprint
+  /// claims one. A slot that a queued or in-flight warm solve holds is
+  /// never evicted (the in-flight one writes through a pointer into it):
+  /// the new fingerprint's claim waits for it. 0 keeps no warm state.
+  std::size_t max_warm_slots = 64;
   /// Attach wall-clock "seconds" to ok responses. Off by default: golden
   /// transcripts need byte-stable output.
   bool include_timing = false;
@@ -181,6 +208,11 @@ class Server {
   /// Blocks until every pushed request has its response emitted.
   void drain();
 
+  /// The wake-up this server's owner loop sleeps on: rung by the
+  /// embedded BatchSolver whenever a job finishes. Input sources (the
+  /// pipe reader, socket connections) ring it when they queue a frame.
+  support::WakeSignal& wake() { return wake_; }
+
   /// Moves out the responses that are ready, in arrival order (one line
   /// each, no trailing newline).
   std::vector<std::string> take_responses();
@@ -190,6 +222,9 @@ class Server {
 
   /// Counters so far.
   const ServeStats& stats() const { return stats_; }
+
+  /// Warm slots currently kept (never more than options().max_warm_slots).
+  std::size_t num_warm_slots() const { return warm_.size(); }
 
   /// Resolved in-flight cap (options().max_inflight or the worker count).
   std::size_t max_inflight() const { return max_inflight_; }
@@ -201,11 +236,14 @@ class Server {
   /// Lifecycle of one pushed frame.
   enum class State {
     kQueued,    ///< admitted, waiting in the RequestQueue
-    kInflight,  ///< its colony runs on the BatchSolver
+    kInflight,  ///< its colony (or delta update) runs on the BatchSolver
     kFollower,  ///< deduped onto an in-flight leader's solve
-    kHeld,      ///< a delta/stats frame mid-drain (blocks emission)
+    kHeld,      ///< a delta awaiting its turn, or a stats frame mid-drain
     kDone,      ///< outcome ready (response may not be emitted yet)
   };
+
+  struct WarmSlot;
+  struct IncSession;
 
   struct Entry {
     std::string id;
@@ -231,6 +269,22 @@ class Server {
     std::string canned;  ///< pre-rendered response (stats frames)
   };
 
+  /// An arrival-ordered step the serving thread has not resolved yet: a
+  /// delta frame (owns its edit until stage()), or the slot claim of a
+  /// warm solve (its entry is warm; the solve stays queued meanwhile and
+  /// may not dispatch).
+  struct Held {
+    std::size_t index = 0;   ///< its entry
+    std::uint64_t base = 0;  ///< delta: the fingerprint it references
+    graph::GraphDelta edit;  ///< delta: the edit (empty for a claim)
+  };
+
+  /// A staged delta whose finish() runs on the BatchSolver.
+  struct Update {
+    std::size_t index = 0;          ///< its entry
+    IncSession* session = nullptr;  ///< busy until this is harvested
+  };
+
   /// One completed cold solve retained for dedup (FIFO-evicted).
   struct CacheSlot {
     std::uint64_t fingerprint = 0;
@@ -248,6 +302,9 @@ class Server {
     std::uint64_t fingerprint = 0;
     core::PheromoneMatrix tau;
     bool busy = false;
+    /// Warm solves holding a claim on this slot (queued, or in flight and
+    /// attached); the slot may only be evicted at zero.
+    std::size_t users = 0;
     bool has_state = false;      ///< snapshot below is populated
     graph::Digraph graph;        ///< graph of the last completed warm solve
     layering::Layering best;     ///< its best layering
@@ -258,22 +315,34 @@ class Server {
   };
 
   /// One live incremental chain, keyed by its CURRENT fingerprint (each
-  /// successful update re-keys it).
+  /// successful stage re-keys it). A null solver marks a chain retired
+  /// after a failed update: it matches no delta and waits for eviction.
   struct IncSession {
     std::uint64_t fingerprint = 0;
     std::unique_ptr<core::IncrementalSolver> solver;
+    bool busy = false;  ///< its staged update runs on the BatchSolver
   };
 
   void reject(Entry& entry, core::AdmissionError error, std::string message);
-  /// Applies a parsed delta frame (caller has drained; runs inline).
-  void handle_delta(Entry& entry, ParsedRequest& parsed);
   bool harvest();
+  /// Resolves held steps in arrival order until the oldest must wait.
+  bool resolve_held();
+  /// Resolves `held` — session lookup, creation from a warm slot,
+  /// eviction, stage, then submission of finish() — or returns false when
+  /// it must wait for in-flight work (see the file comment).
+  bool resolve_delta(Held& held);
   bool dispatch();
   bool emit();
   /// Exact-match dedup probe (cache first, then in-flight leaders);
   /// resolves the entry when it hits. False → caller dispatches for real.
   bool try_dedup(std::size_t index);
-  WarmSlot& warm_slot(std::uint64_t fingerprint);
+  WarmSlot* find_warm_slot(std::uint64_t fingerprint);
+  /// Claims the slot a warm solve of `fingerprint` will run on: the
+  /// existing one, else a new one, FIFO-evicting the oldest slot when the
+  /// store is full. False — claim nothing yet — while that oldest slot
+  /// still has users. With max_warm_slots == 0 it claims nothing and the
+  /// solve runs cold.
+  bool claim_warm_slot(std::uint64_t fingerprint);
 
   ServeOptions options_;
   ClockFn clock_;
@@ -282,24 +351,32 @@ class Server {
   RequestQueue queue_;
   std::vector<std::size_t> inflight_;  ///< entry indices, dispatch order
   std::vector<CacheSlot> cache_;  ///< FIFO ring of completed solves
-  /// Linear-scanned, small. A deque, NOT a vector: an in-flight warm job
-  /// holds a pointer to its slot's matrix, which must survive new
-  /// fingerprints appending slots.
+  /// Linear-scanned, capped at max_warm_slots. A deque, NOT a vector, and
+  /// only ever popped at the front, never with users: an in-flight warm
+  /// job holds a pointer to its slot's matrix, which must survive new
+  /// fingerprints appending slots and old idle ones being evicted.
   std::deque<WarmSlot> warm_;
-  std::deque<IncSession> sessions_;  ///< live delta chains, FIFO-capped
+  /// Live delta chains, FIFO-capped; only ever popped at the front, and
+  /// never while that session is busy (in-flight entries point at it).
+  std::deque<IncSession> sessions_;
+  std::deque<Held> held_;  ///< unresolved deltas and claims, arrival order
+  std::vector<Update> updating_;  ///< staged deltas in flight
   std::size_t next_emit_ = 0;          ///< first entry without a response
   std::vector<std::string> responses_;
   std::size_t max_inflight_ = 1;
   ServeStats stats_;
+  support::WakeSignal wake_;  ///< rung by solver_'s workers: outlives it
   core::BatchSolver solver_;  ///< declared last: drained before the
-                              ///< entries its jobs reference go away
+                              ///< entries, sessions and slots its jobs
+                              ///< reference go away
 };
 
 /// The acolay_serve pipe loop: a reader thread feeds `in`'s lines into
-/// `server` while the calling thread steps it and writes each response
-/// batch to `out` (flushed per batch, so a request/response client never
-/// deadlocks on an unflushed reply). Returns after end-of-input once every
-/// request is answered.
+/// `server` (ringing server.wake() per line and at end-of-input) while the
+/// calling thread steps it, writes each response batch to `out` (flushed
+/// per batch, so a request/response client never deadlocks on an
+/// unflushed reply), and sleeps on server.wake() whenever nothing moved.
+/// Returns after end-of-input once every request is answered.
 void serve_stream(std::istream& in, std::ostream& out, Server& server);
 
 }  // namespace acolay::server

@@ -4,10 +4,12 @@
 // over 40 random edit scripts x 5 updates = 200 updates), the house
 // determinism rules (bit-identical across thread counts and reruns), the
 // monotone guard (an update never returns worse than its repaired warm
-// base), the transactional failure semantics of update(), and the
-// allocation-free steady state of the serial update loop.
+// base), the transactional failure semantics of update(), the stage() +
+// finish() split (bit-identical to update(), rejections only in stage()),
+// and the allocation-free steady state of the serial update loop.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -225,6 +227,133 @@ TEST(IncrementalSolver, BitIdenticalAcrossThreadCountsAndReruns) {
   EXPECT_EQ(run_script(0), serial);  // hardware concurrency
 }
 
+/// Everything an update decides, captured for bit-exact comparison.
+struct UpdateRecord {
+  AdmissionError error = AdmissionError::kNone;
+  std::vector<int> layering;
+  std::uint64_t objective_bits = 0;
+  std::uint64_t initial_objective_bits = 0;
+  std::uint64_t fingerprint = 0;
+  graph::RefreezeKind refreeze = graph::RefreezeKind::kFull;
+  std::vector<graph::Edge> reversed;
+  int num_updates = 0;
+
+  friend bool operator==(const UpdateRecord&, const UpdateRecord&) = default;
+};
+
+UpdateRecord record(const IncrementalSolver& solver,
+                    const SolveOutcome& outcome) {
+  UpdateRecord r;
+  r.error = outcome.error;
+  r.fingerprint = solver.fingerprint();
+  r.num_updates = solver.num_updates();
+  if (outcome.ok()) {
+    r.layering = outcome.result.layering.raw();
+    r.objective_bits =
+        std::bit_cast<std::uint64_t>(outcome.result.metrics.objective);
+    r.initial_objective_bits =
+        std::bit_cast<std::uint64_t>(outcome.result.initial_objective);
+    r.refreeze = solver.last_refreeze();
+    r.reversed = outcome.reversed_edges;
+  }
+  return r;
+}
+
+TEST(IncrementalSolver, StageThenFinishIsBitIdenticalToUpdate) {
+  // Two solvers walk the same random edit scripts, one through update(),
+  // one through stage() + finish(). Every other delta also closes a cycle
+  // (a back edge against an existing edge), so under kReject those are
+  // rejected in stage() and under kGreedyReverse they take the Phase 0
+  // path (reversal, full rebuild). Deltas are drawn from the live graph,
+  // so the script stays applicable after reversals reorient edges.
+  for (const CyclePolicy policy :
+       {CyclePolicy::kReject, CyclePolicy::kGreedyReverse}) {
+    for (std::uint64_t script = 0; script < 6; ++script) {
+      support::Rng rng(31337 + script);
+      const graph::Digraph base = random_base(rng);
+      IncrementalOptions options;
+      options.cycle_policy = policy;
+      const AcoParams params = quick_params(500 + script);
+      IncrementalSolver whole(base, params, options);
+      IncrementalSolver split(base, params, options);
+      ASSERT_TRUE(whole.solve().ok());
+      ASSERT_TRUE(split.solve().ok());
+      int rejected = 0;
+      int reversed = 0;
+      for (int step = 0; step < 8; ++step) {
+        gen::EditScriptParams script_params;
+        script_params.num_deltas = 1;
+        graph::GraphDelta delta =
+            gen::random_edit_script(whole.graph(), script_params, rng)[0];
+        const auto edges = whole.graph().edges();
+        if (step % 2 == 1 && !edges.empty()) {
+          const graph::Edge e = edges[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(edges.size()) - 1))];
+          // Reversed against the pre-delta ids: skip deltas that renumber.
+          if (!delta.touches_vertex_set()) {
+            delta.remove_edges.clear();
+            delta.add_edges.push_back(graph::Edge{e.target, e.source});
+          }
+        }
+        const UpdateRecord want = record(whole, whole.update(delta));
+        const bool staged = split.stage(delta);
+        EXPECT_EQ(staged, want.error == AdmissionError::kNone);
+        EXPECT_EQ(split.staged(), staged);
+        const UpdateRecord got =
+            record(split, staged ? split.finish() : split.outcome());
+        EXPECT_EQ(got, want) << "policy " << static_cast<int>(policy)
+                             << ", script " << script << ", step " << step;
+        EXPECT_EQ(split.graph(), whole.graph());
+        if (!staged) ++rejected;
+        if (!want.reversed.empty()) ++reversed;
+      }
+      // The scripts exercise the paths they claim to.
+      if (policy == CyclePolicy::kReject) {
+        EXPECT_GT(rejected, 0) << "script " << script;
+      } else {
+        EXPECT_GT(reversed, 0) << "script " << script;
+      }
+    }
+  }
+}
+
+TEST(IncrementalSolver, RejectedStageLeavesGraphFingerprintAndWarmState) {
+  // `probe` sees two rejected stages before a valid delta; `reference`
+  // sees only the valid delta. Equal results prove the rejections left
+  // the pheromone matrix and best layering (the warm state) untouched.
+  const AcoParams params = quick_params(77);
+  IncrementalSolver probe(test::small_dag(), params);
+  IncrementalSolver reference(test::small_dag(), params);
+  ASSERT_TRUE(probe.solve().ok());
+  ASSERT_TRUE(reference.solve().ok());
+  const std::uint64_t fingerprint = probe.fingerprint();
+  const graph::Digraph before = probe.graph();
+
+  graph::GraphDelta missing;  // structurally invalid: edge does not exist
+  missing.remove_edges.push_back(graph::Edge{0, 5});
+  EXPECT_FALSE(probe.stage(missing));
+  EXPECT_EQ(probe.outcome().error, AdmissionError::kBadRequest);
+  graph::GraphDelta cycle;  // 0 -> 2 closes 2 -> 0
+  cycle.add_edges.push_back(graph::Edge{0, 2});
+  EXPECT_FALSE(probe.stage(cycle));
+  EXPECT_EQ(probe.outcome().error, AdmissionError::kCycle);
+  EXPECT_FALSE(probe.staged());
+  EXPECT_EQ(probe.fingerprint(), fingerprint);
+  EXPECT_EQ(probe.graph(), before);
+  EXPECT_EQ(probe.num_updates(), 0);
+
+  graph::GraphDelta valid;
+  valid.add_edges.push_back(graph::Edge{5, 2});
+  valid.set_widths.push_back(graph::WidthChange{2, 3.0});
+  ASSERT_TRUE(probe.stage(valid));
+  // stage() alone already re-keys: the serving layer routes the next
+  // delta by this fingerprint before finish() has run.
+  EXPECT_EQ(probe.fingerprint(), graph::CsrView(probe.graph()).fingerprint());
+  const UpdateRecord got = record(probe, probe.finish());
+  const UpdateRecord want = record(reference, reference.update(valid));
+  EXPECT_EQ(got, want);
+}
+
 TEST(IncrementalSolver, SteadyStateUpdateIsAllocationFree) {
   // Serial path, capacities warmed by one full remove/re-add cycle; the
   // second cycle — refreeze, pheromone remap, base repair, tours, the
@@ -243,6 +372,14 @@ TEST(IncrementalSolver, SteadyStateUpdateIsAllocationFree) {
   ACOLAY_ASSERT_NO_ALLOC({
     EXPECT_TRUE(solver.update(remove).ok());
     EXPECT_TRUE(solver.update(add).ok());
+  });
+  // The split the serving layer drives (stage on its thread, finish on a
+  // pool worker) is the same steady state.
+  ACOLAY_ASSERT_NO_ALLOC({
+    EXPECT_TRUE(solver.stage(remove));
+    EXPECT_TRUE(solver.finish().ok());
+    EXPECT_TRUE(solver.stage(add));
+    EXPECT_TRUE(solver.finish().ok());
   });
 }
 

@@ -14,6 +14,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -22,11 +23,17 @@
 #include <thread>
 #include <vector>
 
+#include "gen/edit_script.hpp"
+#include "gen/random_dag.hpp"
+#include "graph/csr.hpp"
+#include "graph/delta.hpp"
 #include "io/json.hpp"
 #include "io/json_reader.hpp"
 #include "server/protocol.hpp"
 #include "server/session.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
+#include "wire_frames.hpp"
 
 namespace acolay::server {
 namespace {
@@ -56,6 +63,7 @@ class ListenerHarness {
   void stop() {
     if (!thread_.joinable()) return;
     stop_.store(true);
+    server_->wake().notify();
     thread_.join();
   }
 
@@ -255,6 +263,71 @@ TEST(ServerListener, MultiClientResponsesStayInPerClientArrivalOrder) {
       ASSERT_TRUE(doc.has_value());
       EXPECT_EQ(require_field(*doc, "status").as_string(), "ok");
     }
+  }
+}
+
+TEST(ServerListener, ConcurrentDeltaChainsMatchEachChainServedAlone) {
+  // Four clients each warm-solve their own base DAG and pipeline a delta
+  // chain against it — every base fingerprint is composed locally, the
+  // way the server re-keys — with sends interleaved frame by frame. The
+  // updates of the four sessions overlap on the pool, yet each client's
+  // transcript must be byte-identical to its chain alone through
+  // serve_stream.
+  constexpr int kClients = 4;
+  constexpr int kDeltas = 8;
+  std::vector<std::vector<std::string>> chains(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    support::Rng rng(700 + static_cast<std::uint64_t>(c));
+    gen::GnmParams shape;
+    shape.num_vertices = 20;
+    shape.num_edges = 40;
+    graph::Digraph g = test::wire_normalized(gen::random_dag(shape, rng));
+    gen::EditScriptParams script;
+    script.num_deltas = kDeltas;
+    const auto deltas = gen::random_edit_script(g, script, rng);
+    std::string prefix = "c";
+    prefix += std::to_string(c);
+    chains[c].push_back(test::frame(prefix + "-w", g, 6,
+                                    800 + static_cast<std::uint64_t>(c),
+                                    test::FrameOpts{.warm = true}) +
+                        "\n");
+    for (int i = 0; i < kDeltas; ++i) {
+      std::string id = prefix;
+      id += "-d";
+      id += std::to_string(i);
+      const std::string base = fingerprint_hex(graph::CsrView(g).fingerprint());
+      chains[c].push_back(test::delta_frame(id, base, deltas[i]) + "\n");
+      ASSERT_EQ(graph::apply_delta(g, deltas[i]), "");
+    }
+  }
+
+  std::vector<std::string> alone;
+  for (const auto& chain : chains) {
+    std::string stream;
+    for (const std::string& line : chain) stream += line;
+    Server server(ServeOptions{});
+    std::istringstream in(stream);
+    std::ostringstream out;
+    serve_stream(in, out, server);
+    alone.push_back(out.str());
+  }
+
+  ServeOptions options;
+  options.num_threads = 3;
+  ListenerHarness harness(options);
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.push_back(std::make_unique<Client>(harness.port()));
+  }
+  for (std::size_t i = 0; i <= kDeltas; ++i) {
+    for (int c = 0; c < kClients; ++c) clients[c]->send(chains[c][i]);
+  }
+  for (auto& client : clients) client->close_write();
+  for (int c = 0; c < kClients; ++c) {
+    const std::string got = clients[c]->read_all();
+    EXPECT_EQ(got, alone[c]) << "client " << c;
+    EXPECT_EQ(std::count(got.begin(), got.end(), '\n'), kDeltas + 1);
+    EXPECT_EQ(got.find("rejected"), std::string::npos) << got;
   }
 }
 

@@ -14,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,18 +23,25 @@
 #include "core/params.hpp"
 #include "core/pheromone.hpp"
 #include "core/request.hpp"
+#include "gen/random_dag.hpp"
 #include "graph/csr.hpp"
 #include "graph/delta.hpp"
 #include "graph/digraph.hpp"
 #include "io/json.hpp"
 #include "io/json_reader.hpp"
 #include "server/protocol.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
+#include "wire_frames.hpp"
 
 namespace acolay::server {
 namespace {
 
+using test::delta_frame;
+using test::frame;
+using test::FrameOpts;
 using test::require_field;
+using test::wire_normalized;
 
 using core::AdmissionError;
 
@@ -41,61 +49,6 @@ ServeOptions with_threads(int threads) {
   ServeOptions options;
   options.num_threads = threads;
   return options;
-}
-
-struct FrameOpts {
-  double deadline = 0.0;
-  int priority = 0;
-  bool warm = false;
-  std::string cycle_policy = {};  // empty = omit the key (server default)
-};
-
-/// Renders a wire request frame for `g`. Edge order on the wire is
-/// Digraph::edges() (source-major) order, so the graph the server
-/// reconstructs has source-major adjacency — wire_normalized() below
-/// builds the Digraph the direct solver must be handed for bit-identity
-/// comparisons.
-std::string frame(const std::string& id, const graph::Digraph& g,
-                  int num_tours, std::uint64_t seed, FrameOpts opts = {}) {
-  io::JsonWriter w;
-  w.begin_object();
-  w.kv("id", id);
-  w.key("graph").begin_object();
-  w.kv("num_vertices", g.num_vertices());
-  w.key("edges").begin_array();
-  for (const auto& e : g.edges()) {
-    w.begin_array().value(e.source).value(e.target).end_array();
-  }
-  w.end_array();
-  w.key("widths").begin_array();
-  for (graph::VertexId v = 0;
-       static_cast<std::size_t>(v) < g.num_vertices(); ++v) {
-    w.value(g.width(v));
-  }
-  w.end_array();
-  w.end_object();
-  w.key("params").begin_object();
-  w.kv("num_tours", num_tours);
-  w.kv("seed", seed);
-  w.end_object();
-  if (opts.deadline > 0.0) w.kv("deadline_seconds", opts.deadline);
-  if (opts.priority != 0) w.kv("priority", opts.priority);
-  if (opts.warm) w.kv("warm", true);
-  if (!opts.cycle_policy.empty()) w.kv("cycle_policy", opts.cycle_policy);
-  w.end_object();
-  return w.str();
-}
-
-/// The graph as the server will reconstruct it from the frame above:
-/// edges re-added in source-major order (predecessor lists included).
-graph::Digraph wire_normalized(const graph::Digraph& g) {
-  graph::Digraph out(g.num_vertices());
-  for (const auto& e : g.edges()) out.add_edge(e.source, e.target);
-  for (graph::VertexId v = 0;
-       static_cast<std::size_t>(v) < g.num_vertices(); ++v) {
-    out.set_width(v, g.width(v));
-  }
-  return out;
 }
 
 io::JsonValue parse_response(const std::string& line) {
@@ -418,51 +371,6 @@ TEST(ServerSession, ServeStreamMatchesDirectPushLines) {
   Server server(with_threads(2));
   serve_stream(in, out, server);
   EXPECT_EQ(out.str(), want);
-}
-
-/// Renders a wire delta frame (exactly "id" and "delta", per the
-/// protocol's exclusivity rule).
-std::string delta_frame(const std::string& id, const std::string& base_hex,
-                        const graph::GraphDelta& d) {
-  io::JsonWriter w;
-  w.begin_object();
-  w.kv("id", id);
-  w.key("delta").begin_object();
-  w.kv("base", base_hex);
-  if (!d.remove_edges.empty()) {
-    w.key("remove_edges").begin_array();
-    for (const auto& e : d.remove_edges) {
-      w.begin_array().value(e.source).value(e.target).end_array();
-    }
-    w.end_array();
-  }
-  if (!d.remove_vertices.empty()) {
-    w.key("remove_vertices").begin_array();
-    for (const auto v : d.remove_vertices) w.value(v);
-    w.end_array();
-  }
-  if (!d.add_vertex_widths.empty()) {
-    w.key("add_vertices").begin_array();
-    for (const double width : d.add_vertex_widths) w.value(width);
-    w.end_array();
-  }
-  if (!d.add_edges.empty()) {
-    w.key("add_edges").begin_array();
-    for (const auto& e : d.add_edges) {
-      w.begin_array().value(e.source).value(e.target).end_array();
-    }
-    w.end_array();
-  }
-  if (!d.set_widths.empty()) {
-    w.key("set_widths").begin_array();
-    for (const auto& change : d.set_widths) {
-      w.begin_array().value(change.vertex).value(change.width).end_array();
-    }
-    w.end_array();
-  }
-  w.end_object();
-  w.end_object();
-  return w.str();
 }
 
 TEST(ServerSession, DeltaFrameContinuesAWarmSolveBitExactly) {
@@ -857,6 +765,446 @@ TEST(ServerSessionCycles, CycleIntroducingDeltaRejectedUnderDefaultPolicy) {
   const io::JsonValue doc = parse_response(responses[0]);
   EXPECT_EQ(require_field(doc, "status").as_string(), "rejected");
   EXPECT_EQ(require_field(doc, "error").as_string(), "cycle");
+}
+
+// --- Concurrent deltas: per-session ordering -------------------------------
+//
+// Delta updates run on the solver's pool, ordered per session, while the
+// transcript must stay exactly what one-at-a-time processing gives. Each
+// test below drives one interleaving deterministically — the completion
+// gate holds a chosen job in flight — and compares the full transcript
+// against a serial reference: the same frames, one at a time, each
+// drained before the next, on one worker.
+
+/// A medium random DAG as the server reconstructs it from the wire — big
+/// enough that a different warm history shows in the served layering.
+graph::Digraph medium_dag(std::uint64_t seed) {
+  support::Rng rng(seed);
+  gen::GnmParams shape;
+  shape.num_vertices = 24;
+  shape.num_edges = 48;
+  return wire_normalized(gen::random_dag(shape, rng));
+}
+
+/// The fingerprint a warm or delta response reports for graph `g`.
+std::string fp_hex(const graph::Digraph& g) {
+  return fingerprint_hex(graph::CsrView(g).fingerprint());
+}
+
+/// A width-only delta (always applicable) and the graph it produces.
+graph::GraphDelta width_delta(graph::VertexId v, double width) {
+  graph::GraphDelta d;
+  d.set_widths.push_back(graph::WidthChange{v, width});
+  return d;
+}
+
+graph::Digraph applied(graph::Digraph g, const graph::GraphDelta& d) {
+  EXPECT_EQ(graph::apply_delta(g, d), "");
+  return g;
+}
+
+std::string warm_frame(const std::string& id, const graph::Digraph& g,
+                       std::uint64_t seed) {
+  return frame(id, g, 6, seed, FrameOpts{.warm = true});
+}
+
+/// The serial reference transcript for `frames` under `options`.
+std::vector<std::string> serial_transcript(
+    const std::vector<std::string>& frames, ServeOptions options) {
+  options.num_threads = 1;
+  options.completion_gate = nullptr;
+  Server server(options);
+  std::vector<std::string> out;
+  for (const std::string& f : frames) {
+    server.push_line(f);
+    server.drain();
+    for (std::string& r : server.take_responses()) out.push_back(std::move(r));
+  }
+  return out;
+}
+
+/// Pushes `frames`, collecting any responses they produce into `out`.
+void push_all(Server& server, const std::vector<std::string>& frames,
+              std::vector<std::string>& out) {
+  for (const std::string& f : frames) server.push_line(f);
+  for (std::string& r : server.take_responses()) out.push_back(std::move(r));
+}
+
+/// Drains `server` and appends the remaining responses to `out`.
+void finish_all(Server& server, std::vector<std::string>& out) {
+  server.drain();
+  for (std::string& r : server.take_responses()) out.push_back(std::move(r));
+}
+
+/// Steps `server` until `done()` holds, sleeping on its wake-up between
+/// steps — every finished job rings it, so this waits for an event, not
+/// for a guessed duration.
+template <typename Done>
+void step_until(Server& server, Done done) {
+  while (!done()) {
+    const std::uint64_t seen = server.wake().generation();
+    if (!server.step() && !done()) server.wake().wait(seen);
+  }
+}
+
+/// Three workers, with `held`'s gate installed when given.
+ServeOptions concurrent_options(const HeldJob* held) {
+  ServeOptions options;
+  options.num_threads = 3;
+  if (held != nullptr) options.completion_gate = held->gate();
+  return options;
+}
+
+TEST(ServerSessionConcurrentDeltas, HeldUpdateKeepsALaterSessionsResponseBack) {
+  // (a) Session A's update (job 2) is held while session B's (job 3)
+  // completes: B's colony is done, but its response must wait behind A's.
+  const graph::Digraph ga = medium_dag(1);
+  const graph::Digraph gb = medium_dag(2);
+  const std::vector<std::string> warm = {warm_frame("wa", ga, 5),
+                                         warm_frame("wb", gb, 6)};
+  const std::vector<std::string> deltas = {
+      delta_frame("da", fp_hex(ga), width_delta(3, 2.5)),
+      delta_frame("db", fp_hex(gb), width_delta(4, 1.5))};
+
+  HeldJob held(/*held=*/2);
+  const ServeOptions options = concurrent_options(&held);
+  Server server(options);
+  std::vector<std::string> got;
+  push_all(server, warm, got);
+  finish_all(server, got);
+  ASSERT_EQ(got.size(), 2u);
+  {
+    const HeldJob::ReleaseAtScopeExit release{held};
+    push_all(server, deltas, got);
+    step_until(server, [&] { return server.stats().delta_updates == 1; });
+    for (std::string& r : server.take_responses()) got.push_back(r);
+    EXPECT_EQ(got.size(), 2u) << "B's response overtook A's held update";
+  }
+  finish_all(server, got);
+
+  std::vector<std::string> frames = warm;
+  frames.insert(frames.end(), deltas.begin(), deltas.end());
+  EXPECT_EQ(got, serial_transcript(frames, options));
+  EXPECT_EQ(server.stats().delta_updates, 2u);
+}
+
+TEST(ServerSessionConcurrentDeltas, PipelinedDeltasOnOneSessionRunInOrder) {
+  // (b) Three deltas on one chain arrive back to back, each naming the
+  // fingerprint the previous one will return — d2 and d3 arrive while
+  // d1's update (job 1) is held, so they must queue behind it.
+  const graph::Digraph g0 = medium_dag(3);
+  const graph::GraphDelta e1 = width_delta(0, 2.0);
+  graph::GraphDelta e2;
+  e2.remove_edges.push_back(g0.edges().front());
+  const graph::GraphDelta e3 = width_delta(5, 0.5);
+  const graph::Digraph g1 = applied(g0, e1);
+  const graph::Digraph g2 = applied(g1, e2);
+  const std::vector<std::string> frames = {
+      warm_frame("w", g0, 9), delta_frame("d1", fp_hex(g0), e1),
+      delta_frame("d2", fp_hex(g1), e2), delta_frame("d3", fp_hex(g2), e3)};
+
+  HeldJob held(/*held=*/1);
+  const ServeOptions options = concurrent_options(&held);
+  Server server(options);
+  std::vector<std::string> got;
+  push_all(server, {frames[0]}, got);
+  finish_all(server, got);
+  {
+    const HeldJob::ReleaseAtScopeExit release{held};
+    push_all(server, {frames.begin() + 1, frames.end()}, got);
+    EXPECT_EQ(got.size(), 1u);
+    EXPECT_EQ(server.stats().incremental_sessions, 1u);
+  }
+  finish_all(server, got);
+
+  const auto want = serial_transcript(frames, options);
+  EXPECT_EQ(got, want);
+  ASSERT_EQ(want.size(), 4u);
+  for (const std::string& r : want) EXPECT_EQ(status_of(r), "ok") << r;
+  EXPECT_EQ(server.stats().delta_updates, 3u);
+}
+
+TEST(ServerSessionConcurrentDeltas, DeltaWaitsForItsOwnUnfinishedWarmSolve) {
+  // (c) The warm solve (job 0) is held while its delta arrives: resolving
+  // the delta now would find no warm state (unknown_fingerprint); it must
+  // wait and seed from the finished solve, as serial processing does.
+  const graph::Digraph g = medium_dag(4);
+  const std::vector<std::string> frames = {
+      warm_frame("w", g, 13),
+      delta_frame("d", fp_hex(g), width_delta(2, 3.0))};
+
+  HeldJob held(/*held=*/0);
+  const ServeOptions options = concurrent_options(&held);
+  Server server(options);
+  std::vector<std::string> got;
+  {
+    const HeldJob::ReleaseAtScopeExit release{held};
+    push_all(server, frames, got);
+    EXPECT_TRUE(got.empty());
+    EXPECT_EQ(server.stats().incremental_sessions, 0u);
+  }
+  finish_all(server, got);
+
+  const auto want = serial_transcript(frames, options);
+  EXPECT_EQ(got, want);
+  ASSERT_EQ(want.size(), 2u);
+  EXPECT_EQ(status_of(want[1]), "ok");
+}
+
+TEST(ServerSessionConcurrentDeltas, LaterWarmSolveWaitsForAHeldDeltaOnItsSlot) {
+  // (d) One session at most. dG's update (job 2) is held, so dF — which
+  // must create a session and would evict the busy one — waits. A second
+  // warm solve of F arrives behind it: dispatched now it would rewrite
+  // F's slot before dF seeds from it, so it must be deferred.
+  const graph::Digraph gf = medium_dag(5);
+  const graph::Digraph gg = medium_dag(6);
+  const std::vector<std::string> warm = {warm_frame("wf", gf, 17),
+                                         warm_frame("wg", gg, 18)};
+  const std::vector<std::string> rest = {
+      delta_frame("dg", fp_hex(gg), width_delta(1, 2.0)),
+      delta_frame("df", fp_hex(gf), width_delta(1, 2.0)),
+      warm_frame("wf2", gf, 19)};
+
+  HeldJob held(/*held=*/2);
+  ServeOptions options = concurrent_options(&held);
+  options.max_incremental_sessions = 1;
+  Server server(options);
+  std::vector<std::string> got;
+  push_all(server, warm, got);
+  finish_all(server, got);
+  ASSERT_EQ(server.stats().warm_reused, 0u);
+  {
+    const HeldJob::ReleaseAtScopeExit release{held};
+    push_all(server, rest, got);
+    // wf2 would have claimed F's slot (a warm reuse) at dispatch.
+    EXPECT_EQ(server.stats().warm_reused, 0u);
+    EXPECT_EQ(server.stats().incremental_sessions, 1u);
+  }
+  finish_all(server, got);
+
+  std::vector<std::string> frames = warm;
+  frames.insert(frames.end(), rest.begin(), rest.end());
+  EXPECT_EQ(got, serial_transcript(frames, options));
+  EXPECT_EQ(server.stats().warm_reused, 1u);
+  EXPECT_EQ(server.stats().delta_updates, 2u);
+}
+
+TEST(ServerSessionConcurrentDeltas, EvictingABusySessionWaitsForItsUpdate) {
+  // (e) One session at most. dA's update (job 2) is held; dB must evict
+  // A's session to create its own, so it waits for dA to finish — and
+  // then the evicted chain's next delta is unknown_fingerprint, exactly
+  // as in serial order.
+  const graph::Digraph ga = medium_dag(7);
+  const graph::Digraph gb = medium_dag(8);
+  const graph::GraphDelta ea = width_delta(0, 4.0);
+  const std::vector<std::string> warm = {warm_frame("wa", ga, 21),
+                                         warm_frame("wb", gb, 22)};
+  const std::vector<std::string> rest = {
+      delta_frame("da", fp_hex(ga), ea),
+      delta_frame("db", fp_hex(gb), width_delta(0, 4.0)),
+      delta_frame("da2", fp_hex(applied(ga, ea)), width_delta(1, 4.0))};
+
+  HeldJob held(/*held=*/2);
+  ServeOptions options = concurrent_options(&held);
+  options.max_incremental_sessions = 1;
+  Server server(options);
+  std::vector<std::string> got;
+  push_all(server, warm, got);
+  finish_all(server, got);
+  {
+    const HeldJob::ReleaseAtScopeExit release{held};
+    push_all(server, rest, got);
+    EXPECT_EQ(server.stats().incremental_sessions, 1u);  // db not yet
+  }
+  finish_all(server, got);
+
+  std::vector<std::string> frames = warm;
+  frames.insert(frames.end(), rest.begin(), rest.end());
+  const auto want = serial_transcript(frames, options);
+  EXPECT_EQ(got, want);
+  ASSERT_EQ(want.size(), 5u);
+  EXPECT_EQ(status_of(want[3]), "ok");
+  EXPECT_EQ(require_field(parse_response(want[4]), "error").as_string(),
+            "unknown_fingerprint");
+}
+
+TEST(ServerSessionConcurrentDeltas, StatsAfterOverlappingDeltasIsExact) {
+  // (f) Two chains interleave with nothing held back; the stats frame
+  // drains everything and must report the serial counters byte for byte.
+  const graph::Digraph ga = medium_dag(9);
+  const graph::Digraph gb = medium_dag(10);
+  const graph::GraphDelta ea = width_delta(2, 2.0);
+  const graph::GraphDelta eb = width_delta(3, 2.0);
+  const std::vector<std::string> frames = {
+      warm_frame("wa", ga, 25),
+      warm_frame("wb", gb, 26),
+      delta_frame("da1", fp_hex(ga), ea),
+      delta_frame("db1", fp_hex(gb), eb),
+      delta_frame("da2", fp_hex(applied(ga, ea)), width_delta(4, 2.0)),
+      delta_frame("db2", fp_hex(applied(gb, eb)), width_delta(5, 2.0)),
+      delta_frame("bad", "0123456789abcdef", ea),
+      R"({"id": "s", "stats": true})"};
+
+  const ServeOptions options = concurrent_options(nullptr);
+  Server server(options);
+  std::vector<std::string> got;
+  push_all(server, frames, got);
+  finish_all(server, got);
+
+  EXPECT_EQ(got, serial_transcript(frames, options));
+  ASSERT_EQ(got.size(), frames.size());
+  const io::JsonValue stats = parse_response(got.back());
+  EXPECT_EQ(require_field(stats, "stats", "received").as_int64(), 8);
+  EXPECT_EQ(require_field(stats, "stats", "solved").as_int64(), 2);
+  EXPECT_EQ(require_field(stats, "stats", "incremental_sessions").as_int64(),
+            2);
+  EXPECT_EQ(require_field(stats, "stats", "delta_updates").as_int64(), 4);
+  EXPECT_EQ(require_field(stats, "stats", "rejected_invalid").as_int64(), 1);
+}
+
+// --- Warm-slot cap ----------------------------------------------------------
+
+TEST(ServerSessionWarmSlots, StoreNeverGrowsPastItsCap) {
+  ServeOptions options = with_threads(2);
+  options.max_warm_slots = 2;
+  Server server(options);
+  std::vector<std::string> fps;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    const graph::Digraph g = medium_dag(20 + i);
+    fps.push_back(fp_hex(g));
+    std::string id = "w";
+    id += std::to_string(i);
+    server.push_line(warm_frame(id, g, 30 + i));
+    server.drain();
+    EXPECT_LE(server.num_warm_slots(), 2u);
+  }
+  EXPECT_EQ(server.num_warm_slots(), 2u);
+  // FIFO: the oldest fingerprints lost their state, the newest kept it.
+  server.push_line(delta_frame("old", fps[0], width_delta(0, 2.0)));
+  server.push_line(delta_frame("new", fps[4], width_delta(0, 2.0)));
+  server.drain();
+  const auto responses = server.take_responses();
+  ASSERT_EQ(responses.size(), 7u);
+  EXPECT_EQ(require_field(parse_response(responses[5]), "error").as_string(),
+            "unknown_fingerprint");
+  EXPECT_EQ(status_of(responses[6]), "ok");
+}
+
+TEST(ServerSessionWarmSlots, BusySlotSurvivesCapPlusOneNewFingerprints) {
+  // F's warm solve (job 0) is held, keeping its slot busy at the front of
+  // a two-slot store while three new fingerprints arrive warm. The busy
+  // slot must not be evicted (its matrix is being written) and the store
+  // must not grow past the cap: the first newcomer takes the free slot,
+  // the next one's claim — which must evict F's slot — waits, and so does
+  // everything behind it. Once F finishes, the claims go through in
+  // arrival order, exactly as one-at-a-time processing evicts.
+  const graph::Digraph gf = medium_dag(40);
+  HeldJob held(/*held=*/0);
+  ServeOptions options = concurrent_options(&held);
+  options.max_warm_slots = 2;
+  Server server(options);
+  std::vector<std::string> frames = {warm_frame("wf", gf, 41)};
+  std::vector<std::string> fps;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const graph::Digraph g = medium_dag(50 + i);
+    fps.push_back(fp_hex(g));
+    std::string id = "w";
+    id += std::to_string(i);
+    frames.push_back(warm_frame(id, g, 60 + i));
+  }
+  frames.push_back(delta_frame("df", fp_hex(gf), width_delta(0, 2.0)));
+  frames.push_back(delta_frame("d0", fps[0], width_delta(0, 2.0)));
+  frames.push_back(delta_frame("d2", fps[2], width_delta(0, 2.0)));
+
+  std::vector<std::string> got;
+  {
+    const HeldJob::ReleaseAtScopeExit release{held};
+    for (const std::string& f : frames) {
+      server.push_line(f);
+      EXPECT_LE(server.num_warm_slots(), 2u);
+    }
+    step_until(server, [&] { return server.stats().solved == 1; });
+    for (int i = 0; i < 3; ++i) server.step();
+    EXPECT_EQ(server.stats().solved, 1u) << "a claim evicted the busy slot";
+    EXPECT_EQ(server.num_warm_slots(), 2u);
+  }
+  finish_all(server, got);
+
+  EXPECT_EQ(got, serial_transcript(frames, options));
+  ASSERT_EQ(got.size(), 7u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(status_of(got[i]), "ok");
+  for (std::size_t i = 4; i < 6; ++i) {
+    EXPECT_EQ(require_field(parse_response(got[i]), "error").as_string(),
+              "unknown_fingerprint");
+  }
+  EXPECT_EQ(status_of(got[6]), "ok");
+  EXPECT_EQ(server.num_warm_slots(), 2u);
+}
+
+TEST(ServerSessionWarmSlots, CapEvictsInArrivalOrderWhateverTheTiming) {
+  // One slot. A's warm solve (job 0) is held while B's warm solve and
+  // deltas on both arrive. Serially B evicts A's slot, so dA is
+  // unknown_fingerprint and dB seeds from B. Concurrently, B's solve
+  // could otherwise run while A's slot is busy (losing its own slot: dB
+  // unknown) or after dA had already seeded from A's slot (dA ok) — at
+  // one worker and at three, the verdicts must be the serial ones.
+  const graph::Digraph ga = medium_dag(70);
+  const graph::Digraph gb = medium_dag(71);
+  const std::vector<std::string> frames = {
+      warm_frame("wa", ga, 72), warm_frame("wb", gb, 73),
+      delta_frame("da", fp_hex(ga), width_delta(0, 2.0)),
+      delta_frame("db", fp_hex(gb), width_delta(0, 2.0))};
+
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    HeldJob held(/*held=*/0);
+    ServeOptions options = concurrent_options(&held);
+    options.num_threads = threads;
+    options.max_warm_slots = 1;
+    Server server(options);
+    std::vector<std::string> got;
+    {
+      const HeldJob::ReleaseAtScopeExit release{held};
+      push_all(server, frames, got);
+      EXPECT_TRUE(got.empty());
+      EXPECT_EQ(server.num_warm_slots(), 1u);
+    }
+    finish_all(server, got);
+
+    const auto want = serial_transcript(frames, options);
+    EXPECT_EQ(got, want);
+    ASSERT_EQ(want.size(), 4u);
+    EXPECT_EQ(require_field(parse_response(want[2]), "error").as_string(),
+              "unknown_fingerprint");
+    EXPECT_EQ(status_of(want[3]), "ok");
+  }
+}
+
+TEST(ServerSessionConcurrentDeltas, FailedUpdateRetiresItsSession) {
+  // The completion gate throws on d1's update job (job 1), which the
+  // solver reports as an internal failure. The chain's state is then
+  // unknown, so its session is retired: a delta on the fingerprint d1
+  // staged is unknown_fingerprint rather than served from that state.
+  const graph::Digraph g0 = medium_dag(80);
+  const graph::GraphDelta e1 = width_delta(0, 2.0);
+  ServeOptions options = with_threads(2);
+  options.completion_gate = [](core::BatchJobId id) {
+    if (id == 1) throw std::runtime_error("injected update failure");
+  };
+  Server server(options);
+  server.push_line(warm_frame("w", g0, 81));
+  server.push_line(delta_frame("d1", fp_hex(g0), e1));
+  server.push_line(
+      delta_frame("d2", fp_hex(applied(g0, e1)), width_delta(1, 2.0)));
+  server.drain();
+  const auto responses = server.take_responses();
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(status_of(responses[0]), "ok");
+  EXPECT_EQ(require_field(parse_response(responses[1]), "error").as_string(),
+            "internal");
+  EXPECT_EQ(require_field(parse_response(responses[2]), "error").as_string(),
+            "unknown_fingerprint");
+  EXPECT_EQ(server.stats().delta_updates, 0u);
 }
 
 }  // namespace
