@@ -105,8 +105,7 @@ harness::Suite make_stretch_suite() {
           params.seed = ctx.config.aco.seed + 3000 + gi;
           params.num_threads = 1;
           params.record_trace = false;
-          core::AntColony colony(corpus.graphs[gi], params);
-          const auto result = colony.run();
+          const auto result = solve_dag(corpus.graphs[gi], params);
           auto& sample = samples[mi][gi];
           sample.objective = result.metrics.objective;
           sample.width = result.metrics.width_incl_dummies;
@@ -170,8 +169,7 @@ harness::Suite make_selection_suite() {
           params.seed = ctx.config.aco.seed + 4000 + gi;
           params.num_threads = 1;
           params.record_trace = false;
-          core::AntColony colony(corpus.graphs[gi], params);
-          const auto result = colony.run();
+          const auto result = solve_dag(corpus.graphs[gi], params);
           auto& sample = samples[vi][gi];
           sample.objective = result.metrics.objective;
           sample.width = result.metrics.width_incl_dummies;
@@ -221,10 +219,10 @@ harness::Suite make_hybrid_suite() {
           layering::Layering layering;
           switch (variant) {
             case kColony:
-              layering = core::AntColony(g, params).run().layering;
+              layering = solve_dag(g, params).layering;
               break;
             case kHybrid:
-              layering = core::hybrid_aco_layering(g, params).layering;
+              layering = core::hybrid_layering(g, params).layering;
               break;
             case kClimberOnly: {
               layering = baselines::longest_path_layering(g);

@@ -1,5 +1,5 @@
 // Batch colony throughput: core::BatchSolver against the equivalent
-// sequential AntColony::run() loop. The workload is a fixed stream of 64
+// sequential core::solve loop. The workload is a fixed stream of 64
 // layering requests (corpus graphs, cycled); each row processes that same
 // stream in batches of 1, 8, or 64 jobs per solver, so the rows differ
 // only in batching granularity and the graphs/s ratio between them
@@ -63,13 +63,13 @@ harness::Suite batch_throughput_suite() {
                     static_cast<std::int64_t>(job_graph(i).num_vertices());
     }
 
-    // Sequential reference: one fresh AntColony per request, exactly what
-    // a caller without the batch subsystem writes.
+    // Sequential reference: one core::solve per request, exactly what a
+    // caller without the batch subsystem writes.
     double seq_objective_sum = 0.0;
     support::Stopwatch seq_watch;
     for (std::size_t i = 0; i < kNumJobs; ++i) {
-      core::AntColony colony(job_graph(i), job_params(i));
-      seq_objective_sum += colony.run().metrics.objective;
+      seq_objective_sum +=
+          solve_dag(job_graph(i), job_params(i)).metrics.objective;
     }
     const double seq_seconds = seq_watch.elapsed_seconds();
     const double seq_graphs_per_sec =
@@ -103,7 +103,7 @@ harness::Suite batch_throughput_suite() {
       for (std::size_t first = 0; first < kNumJobs; first += batch_size) {
         const std::size_t last = std::min(first + batch_size, kNumJobs);
         core::BatchSolver solver(
-            core::BatchOptions{ctx.config.num_threads, false});
+            core::BatchOptions{.num_threads = ctx.config.num_threads});
         std::vector<core::BatchJobId> ids;
         ids.reserve(last - first);
         for (std::size_t i = first; i < last; ++i) {

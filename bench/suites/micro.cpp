@@ -98,8 +98,7 @@ harness::Suite micro_suite() {
                             core::AcoParams p = params;
                             p.num_threads = 1;
                             p.record_trace = false;
-                            core::AntColony colony(g, p);
-                            colony.run();
+                            solve_dag(g, p);
                           }});
 
     auto& series = output.add_series("us_per_op", "component",

@@ -55,8 +55,7 @@ harness::Suite make_alpha_beta_suite() {
             params.num_threads = 1;
             params.record_trace = false;
             support::Stopwatch stopwatch;
-            core::AntColony colony(corpus.graphs[gi], params);
-            const auto result = colony.run();
+            const auto result = solve_dag(corpus.graphs[gi], params);
             cell.runtime_ms.add(stopwatch.elapsed_ms());
             cell.objective.add(result.metrics.objective);
           }
@@ -123,8 +122,7 @@ harness::Suite make_dummy_width_suite() {
             params.num_threads = 1;
             params.record_trace = false;
             support::Stopwatch stopwatch;
-            core::AntColony colony(corpus.graphs[gi], params);
-            const auto result = colony.run();
+            const auto result = solve_dag(corpus.graphs[gi], params);
             cells[wi].runtime_ms.add(stopwatch.elapsed_ms());
             cells[wi].objective_native.add(result.metrics.objective);
             const auto ref = layering::compute_metrics(

@@ -1,5 +1,5 @@
 // Incremental re-layering latency: core::IncrementalSolver update() against
-// a cold full-budget AntColony re-solve of the same post-delta graph. Four
+// a cold full-budget core::solve re-solve of the same post-delta graph. Four
 // random-DAG bases in the calibrated size range (n = 12..30, the range the
 // version-1 tolerance constants in core/incremental.hpp were measured
 // over) each evolve through an 8-delta gen::random_edit_script; the warm
@@ -140,8 +140,7 @@ harness::Suite relayer_latency_suite() {
 
           ACOLAY_CHECK(graph::apply_delta(mirror, delta).empty());
           support::Stopwatch cold_watch;
-          core::AntColony colony(mirror, instance.params);
-          const core::AcoResult cold = colony.run();
+          const core::AcoResult cold = solve_dag(mirror, instance.params);
           cold_seconds += cold_watch.elapsed_seconds();
 
           if (!record) continue;

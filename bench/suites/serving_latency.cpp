@@ -12,7 +12,8 @@
 //
 // The quality series are the gate: (a) the mean served objective —
 // parsed back out of the response JSON — must equal a direct
-// BatchSolver::solve_all over the same graphs and params exactly (the
+// BatchSolver submit + collect_outcome of the same graphs and params
+// exactly (the
 // served-equals-direct bit-identity contract, including the JSON number
 // round-trip), and (b) the dedup counters are a pure function of the
 // stream (every duplicate collapses, every distinct request solves), so
@@ -36,6 +37,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/batch.hpp"
@@ -134,6 +136,24 @@ std::string read_line(int fd, std::string& buffer) {
   }
 }
 
+/// The direct reference: every (graph, params) pair submitted to
+/// `solver`, then collected in input order.
+std::vector<core::AcoResult> solve_direct(
+    core::BatchSolver& solver, const std::vector<graph::Digraph>& graphs,
+    const std::vector<core::AcoParams>& params) {
+  std::vector<core::BatchJobId> ids;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    ids.push_back(solver.submit({.graph = &graphs[i], .params = params[i]}));
+  }
+  std::vector<core::AcoResult> results;
+  for (const core::BatchJobId id : ids) {
+    core::SolveOutcome outcome = solver.collect_outcome(id);
+    ACOLAY_CHECK_MSG(outcome.ok(), outcome.message);
+    results.push_back(std::move(outcome.result));
+  }
+  return results;
+}
+
 }  // namespace
 
 harness::Suite serving_latency_suite() {
@@ -176,9 +196,9 @@ harness::Suite serving_latency_suite() {
 
     // Direct reference over the identical work, in the same order.
     core::BatchSolver direct(
-        core::BatchOptions{ctx.config.num_threads, false});
+        core::BatchOptions{.num_threads = ctx.config.num_threads});
     const std::vector<core::AcoResult> expected =
-        direct.solve_all(graphs, params);
+        solve_direct(direct, graphs, params);
     double direct_objective_sum = 0.0;
     for (const auto& result : expected) {
       direct_objective_sum += result.metrics.objective;
@@ -289,7 +309,7 @@ harness::Suite serving_latency_suite() {
       mc_frames[i] = request_frame(id, mc_graphs[i], mc_params[i]);
     }
     const std::vector<core::AcoResult> mc_expected =
-        direct.solve_all(mc_graphs, mc_params);
+        solve_direct(direct, mc_graphs, mc_params);
     double mc_direct_sum = 0.0;
     for (const auto& result : mc_expected) {
       mc_direct_sum += result.metrics.objective;

@@ -1,6 +1,18 @@
 #include "suites/suites.hpp"
 
+#include <utility>
+
+#include "core/request.hpp"
+#include "support/check.hpp"
+
 namespace acolay::bench {
+
+core::AcoResult solve_dag(const graph::Digraph& g,
+                          const core::AcoParams& params) {
+  core::SolveOutcome outcome = core::solve({.graph = &g, .params = params});
+  ACOLAY_CHECK_MSG(outcome.ok(), outcome.message);
+  return std::move(outcome.result);
+}
 
 std::vector<harness::Suite> all_suites() {
   std::vector<harness::Suite> suites = figure_suites();

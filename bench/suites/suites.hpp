@@ -7,6 +7,8 @@
 
 #include <vector>
 
+#include "core/colony.hpp"
+#include "graph/digraph.hpp"
 #include "harness/bench_runner.hpp"
 
 namespace acolay::bench {
@@ -59,6 +61,11 @@ harness::Suite relayer_latency_suite();
 /// aco — the aco_fas Phase 0 mini-colony is comparable to the main solve
 /// on the small CI instances).
 harness::Suite cyclic_admission_suite();
+
+/// core::solve of a graph a suite generated as a DAG: the colony's result.
+/// A rejected request is a suite bug and throws support::CheckError.
+core::AcoResult solve_dag(const graph::Digraph& g,
+                          const core::AcoParams& params);
 
 /// Every registered suite, in canonical order.
 std::vector<harness::Suite> all_suites();

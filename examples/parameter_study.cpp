@@ -43,8 +43,13 @@ int main(int argc, char** argv) {
     params.alpha = config.alpha;
     params.beta = config.beta;
     params.seed = 5;
-    core::AntColony colony(g, params);
-    const auto result = colony.run();
+    const core::SolveOutcome outcome =
+        core::solve({.graph = &g, .params = params});
+    if (!outcome.ok()) {
+      std::cerr << "rejected: " << outcome.message << "\n";
+      return 1;
+    }
+    const auto& result = outcome.result;
     std::cout << "\nalpha=" << config.alpha << " beta=" << config.beta
               << "  (paper: (1,3) production, (3,5) best quality; "
                  "alpha=0 kills pheromone, beta=0 kills heuristic)\n";

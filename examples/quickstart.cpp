@@ -4,7 +4,7 @@
 //   $ ./quickstart
 //
 // Walks through the minimal public API: graph::Digraph construction,
-// core::AntColony, and the layering metrics.
+// core::solve, and the layering metrics.
 #include <iostream>
 
 #include "core/aco.hpp"
@@ -35,10 +35,15 @@ int main() {
 
   // Run the ant colony with the paper's production parameters (alpha = 1,
   // beta = 3, 10 ants, 10 tours, nd_width = 1).
-  core::AcoParams params;
-  params.seed = 42;
-  core::AntColony colony(g, params);
-  const core::AcoResult result = colony.run();
+  core::SolveRequest request;
+  request.graph = &g;
+  request.params.seed = 42;
+  const core::SolveOutcome outcome = core::solve(request);
+  if (!outcome.ok()) {
+    std::cerr << "rejected: " << outcome.message << "\n";
+    return 1;
+  }
+  const core::AcoResult& result = outcome.result;
 
   std::cout << "Layer assignment (layer 1 = bottom):\n";
   for (graph::VertexId v = 0;

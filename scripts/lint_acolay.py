@@ -314,6 +314,24 @@ RULES: list[Rule] = [
         ),
         applies=_in("src/core/", "src/layering/"),
     ),
+    Rule(
+        name="single-engine-entry",
+        pattern=re.compile(r"\b(run_colony|run_tours)\s*\("),
+        message=(
+            "direct call into the colony engine: library code solves "
+            "through core::solve, BatchSolver::submit/submit_update or "
+            "IncrementalSolver, so admission (params check, Phase 0) and "
+            "pool policy live in one place per entry point."
+        ),
+        applies=_in("src/"),
+        allowlist=(
+            "src/core/colony.hpp",  # declares the engine
+            "src/core/colony.cpp",
+            "src/core/request.cpp",
+            "src/core/batch.cpp",
+            "src/core/incremental.cpp",
+        ),
+    ),
 ]
 
 RULE_NAMES = {r.name for r in RULES}

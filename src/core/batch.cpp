@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/incremental.hpp"
-#include "graph/algorithms.hpp"
 #include "support/check.hpp"
 
 namespace acolay::core {
@@ -25,18 +24,14 @@ BatchSolver::~BatchSolver() {
 
 BatchJobId BatchSolver::submit(const SolveRequest& request) {
   const BatchJobId id = jobs_.size();
-  SolveRequest effective = request;
-  if (options_.derive_seeds) {
-    effective.params.seed += static_cast<std::uint64_t>(id);
-  }
-  jobs_.emplace_back(effective);
+  jobs_.emplace_back(request);
   Job& job = jobs_.back();
 
   // Admission: the shared gate decides here, once. A rejected job is born
   // finished — no CSR snapshot, no pool task, no exception. The plain
   // store needs no lock: the job only becomes waitable once this call
   // returns its id to the (single) owning thread.
-  job.outcome.error = validate_request(effective, &job.outcome.message);
+  job.outcome.error = validate_request(request, &job.outcome.message);
   if (!job.outcome.ok()) {
     job.finished.store(true, std::memory_order_release);
     return id;
@@ -46,11 +41,11 @@ BatchJobId BatchSolver::submit(const SolveRequest& request) {
   // reoriented once, here at admission, so the colony task only ever sees
   // a DAG. The job owns the reoriented graph (the caller's borrowed graph
   // stays untouched) and the reversal is already part of the outcome.
-  if (effective.cycle_policy != CyclePolicy::kReject) {
+  if (request.cycle_policy != CyclePolicy::kReject) {
     CycleResolution phase0;
-    resolve_cycles(*effective.graph, effective.cycle_policy,
-                   effective.params.seed, phase0);
-    if (phase0.graph != effective.graph) {
+    resolve_cycles(*request.graph, request.cycle_policy, request.params.seed,
+                   phase0);
+    if (phase0.graph != request.graph) {
       job.owned_dag = std::move(phase0.owned);
       job.request.graph = &job.owned_dag;
       job.outcome.reversed_edges = std::move(phase0.reversed_edges);
@@ -65,7 +60,7 @@ BatchJobId BatchSolver::submit(const SolveRequest& request) {
   if (g.num_vertices() > max_vertices_.load(std::memory_order_relaxed)) {
     max_vertices_.store(g.num_vertices(), std::memory_order_relaxed);
   }
-  const auto ants = static_cast<std::size_t>(effective.params.num_ants);
+  const auto ants = static_cast<std::size_t>(request.params.num_ants);
   if (ants > max_ants_.load(std::memory_order_relaxed)) {
     max_ants_.store(ants, std::memory_order_relaxed);
   }
@@ -85,20 +80,6 @@ BatchJobId BatchSolver::submit_update(IncrementalSolver& update) {
   unfinished_.fetch_add(1, std::memory_order_relaxed);
   pool_.submit([this, &job, id] { run_job(job, id); });
   return id;
-}
-
-BatchJobId BatchSolver::submit(const graph::Digraph& g,
-                               const AcoParams& params) {
-  // Deprecated shim: reproduce the historical throwing admission exactly
-  // (message included), then delegate. Seed derivation does not affect
-  // validation, so checking the caller's params here equals checking the
-  // effective ones.
-  ACOLAY_CHECK_MSG(graph::is_dag(g), "BatchSolver requires DAG inputs");
-  validate_aco_params(params);
-  SolveRequest request;
-  request.graph = &g;
-  request.params = params;
-  return submit(request);
 }
 
 void BatchSolver::run_job(Job& job, BatchJobId id) {
@@ -123,16 +104,14 @@ void BatchSolver::run_job(Job& job, BatchJobId id) {
     }
     if (options_.completion_gate) options_.completion_gate(id);
   } catch (const std::exception& e) {
-    job.error = std::current_exception();
     job.outcome.error = AdmissionError::kInternal;
     job.outcome.message = e.what();
   } catch (...) {
-    job.error = std::current_exception();
     job.outcome.error = AdmissionError::kInternal;
     job.outcome.message = "unknown solver failure";
   }
   {
-    // The lock pairs with the condition-variable waits in wait()/wait_all:
+    // The lock pairs with the condition-variable waits in await_job/wait_all:
     // without it a waiter could check `finished`, lose the race to this
     // store + notify, and then sleep forever.
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -162,17 +141,6 @@ void BatchSolver::await_job(Job& job, BatchJobId id) {
   }
   ACOLAY_CHECK_MSG(!job.collected,
                    "batch job " << id << " was already collected");
-}
-
-void BatchSolver::rethrow_failure(const Job& job, BatchJobId id) {
-  if (job.error) std::rethrow_exception(job.error);
-  // Structured-path admission failures have no stored exception; the
-  // legacy surface promises a throw, so raise one with the outcome's
-  // message.
-  ACOLAY_CHECK_MSG(job.outcome.ok(),
-                   "batch job " << id << " was rejected ("
-                                << admission_error_code(job.outcome.error)
-                                << "): " << job.outcome.message);
 }
 
 std::size_t BatchSolver::num_jobs() const { return jobs_.size(); }
@@ -212,108 +180,11 @@ SolveOutcome BatchSolver::collect_outcome(BatchJobId id) {
   return outcome;
 }
 
-const AcoResult* BatchSolver::poll(BatchJobId id) const {
-  const SolveOutcome* outcome = poll_outcome(id);
-  if (outcome == nullptr) return nullptr;
-  if (!outcome->ok()) rethrow_failure(job_at(id), id);
-  return &outcome->result;
-}
-
-const AcoResult& BatchSolver::wait(BatchJobId id) {
-  const SolveOutcome& outcome = wait_outcome(id);
-  if (!outcome.ok()) rethrow_failure(job_at(id), id);
-  return outcome.result;
-}
-
-AcoResult BatchSolver::collect(BatchJobId id) {
-  // collect_outcome sheds the graph-sized state first (on failure too),
-  // then the failure is surfaced exactly as the historical API did — the
-  // O(1) record's exception_ptr survives the shedding.
-  SolveOutcome outcome = collect_outcome(id);
-  const Job& job = job_at(id);
-  if (job.error) std::rethrow_exception(job.error);
-  ACOLAY_CHECK_MSG(outcome.ok(),
-                   "batch job " << id << " was rejected ("
-                                << admission_error_code(outcome.error)
-                                << "): " << outcome.message);
-  return std::move(outcome.result);
-}
-
 void BatchSolver::wait_all() {
   std::unique_lock<std::mutex> lock(mutex_);
   job_finished_.wait(lock, [this] {
     return unfinished_.load(std::memory_order_acquire) == 0;
   });
-}
-
-namespace {
-
-/// solve_all's submit/harvest bodies, shared by both overloads and kept
-/// on the structured path (the throwing shims are deprecated; solve_all
-/// keeps its own documented throw-on-failure contract via the check
-/// below).
-BatchJobId submit_structured(BatchSolver& solver, const graph::Digraph& g,
-                             const AcoParams& params) {
-  SolveRequest request;
-  request.graph = &g;
-  request.params = params;
-  return solver.submit(request);
-}
-
-AcoResult collect_structured(BatchSolver& solver, BatchJobId id) {
-  // collect_outcome(), not wait_outcome(): moves each result out and
-  // sheds the job's CSR snapshot as soon as it is harvested, so the run
-  // peaks at one copy of the result set instead of two.
-  SolveOutcome outcome = solver.collect_outcome(id);
-  ACOLAY_CHECK_MSG(outcome.ok(),
-                   "batch job " << id << " was rejected ("
-                                << admission_error_code(outcome.error)
-                                << "): " << outcome.message);
-  return std::move(outcome.result);
-}
-
-}  // namespace
-
-std::vector<AcoResult> BatchSolver::solve_all(
-    std::span<const graph::Digraph> graphs, const AcoParams& params) {
-  std::vector<BatchJobId> ids;
-  ids.reserve(graphs.size());
-  for (const graph::Digraph& g : graphs) {
-    ids.push_back(submit_structured(*this, g, params));
-  }
-  std::vector<AcoResult> results;
-  results.reserve(ids.size());
-  for (const BatchJobId id : ids) {
-    results.push_back(collect_structured(*this, id));
-  }
-  return results;
-}
-
-std::vector<AcoResult> BatchSolver::solve_all(
-    std::span<const graph::Digraph> graphs,
-    std::span<const AcoParams> params) {
-  ACOLAY_CHECK_MSG(params.size() == graphs.size(),
-                   "solve_all needs one AcoParams per graph: "
-                       << params.size() << " params for " << graphs.size()
-                       << " graphs");
-  std::vector<BatchJobId> ids;
-  ids.reserve(graphs.size());
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    ids.push_back(submit_structured(*this, graphs[i], params[i]));
-  }
-  std::vector<AcoResult> results;
-  results.reserve(ids.size());
-  for (const BatchJobId id : ids) {
-    results.push_back(collect_structured(*this, id));
-  }
-  return results;
-}
-
-std::vector<AcoResult> solve_batch(std::span<const graph::Digraph> graphs,
-                                   const AcoParams& params,
-                                   const BatchOptions& options) {
-  BatchSolver solver(options);
-  return solver.solve_all(graphs, params);
 }
 
 }  // namespace acolay::core

@@ -12,11 +12,10 @@
 //    (the pool forbids nested parallelism, and colony results are
 //    thread-count invariant by design), so N jobs on K workers give
 //    near-linear corpus throughput with zero cross-job synchronisation.
-//  * determinism: a job's result depends only on (graph, effective
-//    params). Effective seeds are derived at admission (optionally
-//    params.seed + job id), never from scheduling, so a batch is
-//    bit-identical to N sequential AntColony::run() calls at any thread
-//    count and under any submission-order permutation of the same jobs.
+//  * determinism: a job's result depends only on (graph, params), never
+//    on scheduling, so a batch is bit-identical to N sequential
+//    core::solve calls at any thread count and under any
+//    submission-order permutation of the same jobs.
 //  * workspace pooling: each pool worker owns one ColonyWorkspace, keyed
 //    by support::ThreadPool::worker_index() and grown to the largest
 //    admitted graph, so steady-state batch throughput is allocation-free
@@ -26,30 +25,23 @@
 //    tests/determinism_test.cpp and tests/core_ant_kernel_test.cpp), so
 //    worker-keying cannot leak one graph's search into another's.
 //
-// The API is submit/poll/wait for request-at-a-time serving plus a
-// blocking solve_all for whole-corpus workloads. submit_update() runs the
-// colony half of a staged IncrementalSolver update as a job like any
-// other, and BatchOptions::wake lets an event-driven owner sleep until a
-// job finishes. The solver itself is externally synchronised:
-// submit/poll/wait are called from the owning thread; only result
-// completion is shared with the workers.
-//
-// Since PR 7 the primary entry is the structured request path
-// (core::SolveRequest in, core::SolveOutcome out): admission failures are
-// AdmissionError codes in the job's outcome, never exceptions — a
-// rejected request produces a job that is born finished. The original
-// throwing submit/poll/wait/collect surface remains as thin deprecated
-// shims with its exact historical behaviour.
+// The API is submit, then poll_outcome/wait_outcome/collect_outcome per
+// job, with wait_all to drain. submit_update() runs the colony half of a
+// staged IncrementalSolver update as a job like any other, and
+// BatchOptions::wake lets an event-driven owner sleep until a job
+// finishes. Admission failures are AdmissionError codes in the job's
+// outcome, never exceptions — a rejected request produces a job that is
+// born finished. The solver itself is externally synchronised: submit and
+// the harvest calls come from the owning thread; only result completion
+// is shared with the workers.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "core/colony.hpp"
@@ -72,11 +64,6 @@ struct BatchOptions {
   /// Worker threads across colonies; 0 = hardware concurrency. Results
   /// are bit-identical for any value (see tests/determinism_test.cpp).
   int num_threads = 0;
-  /// Replace each job's seed with params.seed + job id at admission — the
-  /// harness convention for independent per-graph streams when one
-  /// AcoParams is shared across a corpus. Off by default: each job's
-  /// params are taken verbatim.
-  bool derive_seeds = false;
   /// Completion gate: when set, called on the worker thread with the
   /// job's id after its colony has run and before the job is published as
   /// finished. Tests block in it to hold a job in flight for exactly as
@@ -93,7 +80,7 @@ struct BatchOptions {
 
 /// Concurrent many-graph colony solver: one whole-colony task per
 /// submitted job on a shared thread pool, bit-identical to sequential
-/// AntColony::run() calls (see the file comment for the design).
+/// core::solve calls (see the file comment for the design).
 class BatchSolver {
  public:
   /// Spins up the worker pool per `options`.
@@ -110,10 +97,9 @@ class BatchSolver {
   /// Workers in the underlying pool (resolved hardware concurrency).
   std::size_t num_threads() const { return pool_.num_threads(); }
 
-  /// Admits one structured layering request: derives the effective seed
-  /// (options().derive_seeds), runs the shared admission gate
-  /// (validate_request), and — if admitted — freezes the CSR snapshot and
-  /// schedules the colony. A rejected request never throws: its job is
+  /// Admits one structured layering request: runs the shared admission
+  /// gate (validate_request) and — if admitted — freezes the CSR snapshot
+  /// and schedules the colony. A rejected request never throws: its job is
   /// born finished carrying the AdmissionError outcome. The caller keeps
   /// the request's graph (and warm_tau, if any) alive until the job's
   /// outcome has been collected (the solver stores the pointers, not a
@@ -132,14 +118,6 @@ class BatchSolver {
   /// done (the worker owns it meanwhile). The solver should run serially
   /// (AcoParams::num_threads == 1): the pool forbids nested parallelism.
   BatchJobId submit_update(IncrementalSolver& update);
-
-  /// Deprecated throwing shim (pre-PR 7 surface): validates `g` (must be
-  /// a DAG) and the params, throwing support::CheckError exactly as the
-  /// historical API did, then delegates to the request path. Prefer
-  /// submit(const SolveRequest&).
-  [[deprecated("use submit(const SolveRequest&) — failures become outcome "
-               "codes instead of throws")]] BatchJobId
-  submit(const graph::Digraph& g, const AcoParams& params);
 
   /// Jobs submitted so far (finished or not).
   std::size_t num_jobs() const;
@@ -166,47 +144,15 @@ class BatchSolver {
   /// on it throw.
   SolveOutcome collect_outcome(BatchJobId id);
 
-  /// Deprecated throwing shim: the job's result once finished, nullptr
-  /// while queued or running. Rethrows the job's solve error; surfaces a
-  /// structured-path admission failure as support::CheckError.
-  [[deprecated("use poll_outcome() — failures become outcome codes instead "
-               "of throws")]] const AcoResult*
-  poll(BatchJobId id) const;
-
-  /// Deprecated throwing shim over wait_outcome(): returns the result
-  /// (owned by the solver), rethrowing failures as the historical API
-  /// did.
-  [[deprecated("use wait_outcome() — failures become outcome codes instead "
-               "of throws")]] const AcoResult&
-  wait(BatchJobId id);
-
-  /// Deprecated throwing shim over collect_outcome(): moves the result
-  /// out and releases the job's graph-sized state (on failure too, so an
-  /// errored job on the serving path cannot pin its snapshot), then
-  /// rethrows the job's failure if it had one.
-  [[deprecated("use collect_outcome() — failures become outcome codes "
-               "instead of throws")]] AcoResult
-  collect(BatchJobId id);
-
-  /// Blocks until every submitted job has finished. Does not rethrow job
-  /// errors — collect those per job via wait()/poll().
+  /// Blocks until every submitted job has finished (failures stay in
+  /// each job's outcome).
   void wait_all();
-
-  /// Blocking convenience: submits every graph with `params` (seeds
-  /// derived per job when options().derive_seeds) and returns the results
-  /// in input order.
-  std::vector<AcoResult> solve_all(std::span<const graph::Digraph> graphs,
-                                   const AcoParams& params);
-
-  /// Per-graph-params variant; `params.size()` must equal `graphs.size()`.
-  std::vector<AcoResult> solve_all(std::span<const graph::Digraph> graphs,
-                                   std::span<const AcoParams> params);
 
  private:
   struct Job {
     explicit Job(const SolveRequest& r) : request(r) {}
 
-    SolveRequest request;  ///< effective request (seed already derived)
+    SolveRequest request;  ///< the request as admitted
     /// Set for submit_update() jobs: the staged solver whose finish() the
     /// job runs instead of a colony over `request`. Cleared by collect.
     IncrementalSolver* update = nullptr;
@@ -217,7 +163,6 @@ class BatchSolver {
     graph::Digraph owned_dag;
     graph::CsrView csr;    ///< frozen at admission, released by collect
     SolveOutcome outcome;  ///< result or structured failure
-    std::exception_ptr error;  ///< legacy rethrow channel (solve errors)
     bool collected = false;    ///< outcome moved out, snapshot released
     std::atomic<bool> finished{false};
   };
@@ -226,12 +171,8 @@ class BatchSolver {
   const Job& job_at(BatchJobId id) const;
   Job& job_at(BatchJobId id);
   /// Blocks until `job` finishes and rejects already-collected jobs
-  /// (shared by wait/collect; failure surfacing stays with the callers so
-  /// collect can release a failed job's state first).
+  /// (shared by wait_outcome/collect_outcome).
   void await_job(Job& job, BatchJobId id);
-  /// Legacy-shim failure surfacing: rethrows the job's solve error, or
-  /// raises CheckError for a structured-path admission failure.
-  static void rethrow_failure(const Job& job, BatchJobId id);
 
   BatchOptions options_;
   /// Job records; deque for stable addresses (workers hold references
@@ -252,11 +193,5 @@ class BatchSolver {
   /// outlive the job records or workspaces above.
   support::ThreadPool pool_;
 };
-
-/// One-shot convenience: batch-solves every graph with `params` and
-/// returns the results in input order.
-std::vector<AcoResult> solve_batch(std::span<const graph::Digraph> graphs,
-                                   const AcoParams& params,
-                                   const BatchOptions& options = {});
 
 }  // namespace acolay::core

@@ -6,31 +6,12 @@
 #include <vector>
 
 #include "baselines/longest_path.hpp"
-#include "core/request.hpp"
 #include "core/stretch.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/csr.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace acolay::core {
-
-void validate_aco_params(const AcoParams& params) {
-  ACOLAY_CHECK(params.num_ants >= 1);
-  ACOLAY_CHECK(params.num_tours >= 0);
-  ACOLAY_CHECK(params.alpha >= 0.0);
-  ACOLAY_CHECK(params.beta >= 0.0);
-  ACOLAY_CHECK(params.rho >= 0.0 && params.rho <= 1.0);
-  ACOLAY_CHECK(params.dummy_width >= 0.0);
-  ACOLAY_CHECK(params.eta_epsilon > 0.0);
-  // Ranges the run would only trip over mid-search (PheromoneMatrix /
-  // deposit / clamp contract checks) fail fast here instead, so
-  // BatchSolver::submit's validate-at-admission promise holds for every
-  // parameter.
-  ACOLAY_CHECK(params.tau0 > 0.0);
-  ACOLAY_CHECK(params.deposit >= 0.0);
-  ACOLAY_CHECK(params.tau_min <= params.tau_max);
-}
 
 void ColonyWorkspace::reserve(std::size_t num_ants, std::size_t num_vertices,
                               std::size_t num_layers) {
@@ -208,60 +189,6 @@ void run_tours(const graph::Digraph& g, const graph::CsrView& csr,
   result.layering = ws.best;
   layering::normalize(result.layering, ws.normalize_scratch);
   result.metrics = best_metrics;
-}
-
-AcoResult run_validated_colony(const graph::Digraph& g,
-                               const AcoParams& params, ColonyWorkspace& ws,
-                               PheromoneMatrix* tau_io) {
-  if (g.num_vertices() == 0) {
-    return run_colony(g, graph::CsrView{}, params, ws, nullptr, tau_io);
-  }
-  // One frozen CSR snapshot serves every walk and metrics evaluation of
-  // the run: the ants only read the topology.
-  const graph::CsrView csr(g);
-  if (params.num_threads == 1) {
-    // Serial ants need no pool; spawning a one-worker pool here would
-    // create and join an OS thread that parallel_for's single-thread
-    // shortcut never hands a walk anyway.
-    return run_colony(g, csr, params, ws, nullptr, tau_io);
-  }
-  support::ThreadPool pool(params.num_threads <= 0
-                               ? 0
-                               : static_cast<std::size_t>(params.num_threads));
-  return run_colony(g, csr, params, ws, &pool, tau_io);
-}
-
-AntColony::AntColony(const graph::Digraph& g, AcoParams params)
-    : AntColony(g, params, CyclePolicy::kReject) {}
-
-AntColony::AntColony(const graph::Digraph& g, AcoParams params,
-                     CyclePolicy policy)
-    : g_(g), params_(params) {
-  if (policy == CyclePolicy::kReject) {
-    ACOLAY_CHECK_MSG(graph::is_dag(g), "AntColony requires a DAG");
-    effective_ = &g_;
-  } else {
-    CycleResolution phase0;
-    resolve_cycles(g, policy, params_.seed, phase0);
-    reversed_edges_ = std::move(phase0.reversed_edges);
-    if (phase0.graph == &g) {
-      effective_ = &g_;
-    } else {
-      owned_dag_ = std::move(phase0.owned);
-      effective_ = &owned_dag_;
-    }
-  }
-  validate_aco_params(params_);
-}
-
-AcoResult AntColony::run() {
-  return run_validated_colony(*effective_, params_, ws_);
-}
-
-layering::Layering aco_layering(const graph::Digraph& g,
-                                const AcoParams& params) {
-  AntColony colony(g, params);
-  return colony.run().layering;
 }
 
 }  // namespace acolay::core

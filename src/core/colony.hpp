@@ -1,4 +1,4 @@
-// The AntColony (paper §V, §VI): orchestrates the search.
+// The colony engine (paper §V, §VI): orchestrates the search.
 //
 //   initialisation (Alg. 3): LPL layering -> stretch to n layers ->
 //     uniform pheromone tau0;
@@ -59,16 +59,11 @@ struct AcoResult {
   double initial_objective = 0.0;
 };
 
-/// Validates the AcoParams ranges every colony entry point requires
-/// (AntColony's constructor and BatchSolver::submit). Throws
-/// support::CheckError on the first violated bound.
-void validate_aco_params(const AcoParams& params);
-
 /// A whole colony's reusable working set: one WalkWorkspace per ant slot,
 /// the per-ant walk results the tour reduction reads, and the pheromone
 /// matrix — everything run_colony resets in place, so a workspace reused
-/// across runs (AntColony reruns, or BatchSolver's per-worker pools)
-/// allocates only until each buffer reaches its high-water size.
+/// across runs (BatchSolver's per-worker pools, IncrementalSolver's
+/// updates) allocates only until each buffer reaches its high-water size.
 struct ColonyWorkspace {
   std::vector<WalkWorkspace> ants;  ///< one walk workspace per ant slot
   std::vector<WalkResult> walks;    ///< per-ant results of the current tour
@@ -86,16 +81,17 @@ struct ColonyWorkspace {
                std::size_t num_layers);
 };
 
-/// The colony engine behind AntColony::run() and BatchSolver: runs the
-/// full search (paper runColony()) over a frozen CSR snapshot of `g`, with
-/// all reusable state in `ws`. When `ant_pool` is non-null the ants of a
-/// tour are distributed over it; null runs them serially on the calling
-/// thread — bit-identical either way (per-(tour, ant) RNG streams, index
-/// reduction), which is what lets BatchSolver run whole colonies as
-/// single-threaded pool tasks.
+/// The colony engine behind core::solve, BatchSolver and
+/// IncrementalSolver: runs the full search (paper runColony()) over a
+/// frozen CSR snapshot of `g`, with all reusable state in `ws`. When
+/// `ant_pool` is non-null the ants of a tour are distributed over it;
+/// null runs them serially on the calling thread — bit-identical either
+/// way (per-(tour, ant) RNG streams, index reduction), which is what lets
+/// BatchSolver run whole colonies as single-threaded pool tasks.
 ///
 /// Preconditions (validated by the public entry points): `g` is a DAG,
-/// `csr` is a snapshot of `g`, and `params` passes validate_aco_params.
+/// `csr` is a snapshot of `g`, and `params` passes aco_params_error
+/// (request.hpp).
 ///
 /// `tau_io` is the warm-pheromone hook for the serving layer: when
 /// non-null and already sized exactly (n, stretched layer count), the run
@@ -124,62 +120,11 @@ AcoResult run_colony(const graph::Digraph& g, const graph::CsrView& csr,
 /// Preconditions: `csr` snapshots `g`, `start` is a valid layering of `g`
 /// within [1, num_layers], `ws.tau` is sized exactly
 /// (g.num_vertices(), num_layers), and `params` passes
-/// validate_aco_params. Allocation-free once `ws` and `result` have
+/// aco_params_error. Allocation-free once `ws` and `result` have
 /// reached their high-water sizes.
 void run_tours(const graph::Digraph& g, const graph::CsrView& csr,
                const AcoParams& params, const layering::Layering& start,
                int num_layers, ColonyWorkspace& ws,
                support::ThreadPool* ant_pool, AcoResult& result);
-
-/// Pool-policy wrapper over run_colony for validated inputs: freezes the
-/// CSR snapshot and runs the ants serially for num_threads == 1 or on a
-/// transient pool otherwise — the shared engine-entry of AntColony::run()
-/// and the structured solve() path (request.hpp).
-AcoResult run_validated_colony(const graph::Digraph& g,
-                               const AcoParams& params, ColonyWorkspace& ws,
-                               PheromoneMatrix* tau_io = nullptr);
-
-/// The paper's colony, bound to one graph: validates inputs once, owns
-/// the reusable ColonyWorkspace, and delegates each run() to run_colony
-/// over a fresh CSR snapshot.
-class AntColony {
- public:
-  /// Requires a DAG (CyclePolicy::kReject).
-  AntColony(const graph::Digraph& g, AcoParams params);
-
-  /// Admits any digraph per `policy`: kReject requires a DAG; the other
-  /// policies run Phase 0 (graph/cycle_removal.hpp) once at construction,
-  /// reverse a feedback arc set, and run every run() on the reoriented
-  /// DAG. The reversal is reported by reversed_edges().
-  AntColony(const graph::Digraph& g, AcoParams params, CyclePolicy policy);
-
-  /// Runs the full search (paper runColony()).
-  AcoResult run();
-
-  /// The validated parameters this colony runs with.
-  const AcoParams& params() const { return params_; }
-
-  /// The edges Phase 0 reversed at construction, original orientation
-  /// (empty for DAG inputs and under CyclePolicy::kReject).
-  const std::vector<graph::Edge>& reversed_edges() const {
-    return reversed_edges_;
-  }
-
- private:
-  const graph::Digraph& g_;
-  AcoParams params_;
-  /// Phase 0 storage: the reoriented DAG when the input was cyclic.
-  graph::Digraph owned_dag_;
-  /// The graph run() layers: `&owned_dag_` after a reversal, else `&g_`.
-  const graph::Digraph* effective_ = nullptr;
-  std::vector<graph::Edge> reversed_edges_;
-  /// Whole-colony workspace, reused across run() calls so the steady-state
-  /// inner loop is allocation-free.
-  ColonyWorkspace ws_;
-};
-
-/// Convenience wrapper: runs a colony and returns only the layering.
-layering::Layering aco_layering(const graph::Digraph& g,
-                                const AcoParams& params = {});
 
 }  // namespace acolay::core

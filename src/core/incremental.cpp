@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "graph/algorithms.hpp"
+#include "support/check.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
@@ -13,7 +14,9 @@ namespace acolay::core {
 IncrementalSolver::IncrementalSolver(graph::Digraph g, AcoParams params,
                                      IncrementalOptions options)
     : graph_(std::move(g)), params_(params), options_(options) {
-  validate_aco_params(params_);
+  if (std::string error = aco_params_error(params_); !error.empty()) {
+    throw support::CheckError(error);
+  }
   ACOLAY_CHECK(options_.update_tours >= 0);
   ACOLAY_CHECK(options_.update_stagnation_tours >= 1);
   ACOLAY_CHECK(options_.churn_threshold >= 0.0);

@@ -109,7 +109,8 @@ class IncrementalSolver {
  public:
   /// Takes ownership of `g` (the evolving instance). Validates the params
   /// ranges and — under CyclePolicy::kReject — that `g` is a DAG
-  /// (support::CheckError on violation, like AntColony's constructor);
+  /// (support::CheckError on violation; a params violation carries
+  /// aco_params_error's text, the same as the bad_param wire message);
   /// the other policies reorient a cyclic `g` here, Phase 0 style (the
   /// reversal is reported by initial_reversed_edges() and by the first
   /// solve()). Per-delta problems are reported as structured outcomes

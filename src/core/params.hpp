@@ -85,7 +85,7 @@ enum class StretchMode {
 };
 
 /// All tunables of the ACO layering search, with the paper's production
-/// configuration as defaults. Validated by core::validate_aco_params at
+/// configuration as defaults. Validated by core::aco_params_error at
 /// every colony entry point.
 struct AcoParams {
   int num_ants = 10;   ///< colony size (walks per tour)

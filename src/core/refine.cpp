@@ -1,7 +1,9 @@
 #include "core/refine.hpp"
 
 #include "baselines/promote.hpp"
+#include "core/request.hpp"
 #include "layering/spans.hpp"
+#include "support/check.hpp"
 #include "support/timer.hpp"
 
 namespace acolay::core {
@@ -68,12 +70,12 @@ RefineStats greedy_refine(const graph::Digraph& g, layering::Layering& l,
   return stats;
 }
 
-AcoResult hybrid_aco_layering(const graph::Digraph& g,
-                              const AcoParams& params,
-                              const RefineOptions& refine_in) {
+AcoResult hybrid_layering(const graph::Digraph& g, const AcoParams& params,
+                          const RefineOptions& refine_in) {
   support::Stopwatch stopwatch;
-  AntColony colony(g, params);
-  AcoResult result = colony.run();
+  SolveOutcome outcome = solve({.graph = &g, .params = params});
+  ACOLAY_CHECK_MSG(outcome.ok(), outcome.message);
+  AcoResult result = std::move(outcome.result);
   if (g.num_vertices() == 0) return result;
 
   RefineOptions refine = refine_in;

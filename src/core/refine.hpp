@@ -12,7 +12,7 @@
 //     applied to the ant layering — targets the dummy count the walk rule
 //     ignores.
 //
-// hybrid_aco_layering chains colony -> greedy_refine -> promote_refine and
+// hybrid_layering chains colony -> greedy_refine -> promote_refine and
 // returns the best-of f. The ablation_hybrid bench quantifies each stage.
 #pragma once
 
@@ -45,8 +45,8 @@ RefineStats greedy_refine(const graph::Digraph& g, layering::Layering& l,
 
 /// Colony + refinement pipeline. Returns the layering with the best
 /// objective among {colony result, +greedy refine, +promotion}.
-AcoResult hybrid_aco_layering(const graph::Digraph& g,
-                              const AcoParams& params = {},
-                              const RefineOptions& refine = {});
+AcoResult hybrid_layering(const graph::Digraph& g,
+                          const AcoParams& params = {},
+                          const RefineOptions& refine = {});
 
 }  // namespace acolay::core

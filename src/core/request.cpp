@@ -1,10 +1,12 @@
 #include "core/request.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "graph/algorithms.hpp"
+#include "graph/csr.hpp"
 #include "graph/cycle_removal.hpp"
-#include "support/check.hpp"
+#include "support/thread_pool.hpp"
 
 namespace acolay::core {
 
@@ -42,6 +44,28 @@ const char* admission_error_code(AdmissionError error) {
   return "internal";
 }
 
+std::string aco_params_error(const AcoParams& params) {
+  // Each bound's message is its own source text, so the wire reports
+  // exactly the expression that failed.
+#define ACOLAY_PARAM_BOUND(expr) \
+  if (!(expr)) return "ACOLAY_CHECK failed: (" #expr ")"
+  ACOLAY_PARAM_BOUND(params.num_ants >= 1);
+  ACOLAY_PARAM_BOUND(params.num_tours >= 0);
+  ACOLAY_PARAM_BOUND(params.alpha >= 0.0);
+  ACOLAY_PARAM_BOUND(params.beta >= 0.0);
+  ACOLAY_PARAM_BOUND(params.rho >= 0.0 && params.rho <= 1.0);
+  ACOLAY_PARAM_BOUND(params.dummy_width >= 0.0);
+  ACOLAY_PARAM_BOUND(params.eta_epsilon > 0.0);
+  // Ranges the run would only trip over mid-search (PheromoneMatrix /
+  // deposit / clamp contract checks) fail here instead, so every entry
+  // point rejects them at admission.
+  ACOLAY_PARAM_BOUND(params.tau0 > 0.0);
+  ACOLAY_PARAM_BOUND(params.deposit >= 0.0);
+  ACOLAY_PARAM_BOUND(params.tau_min <= params.tau_max);
+#undef ACOLAY_PARAM_BOUND
+  return {};
+}
+
 AdmissionError validate_request(const SolveRequest& request,
                                 std::string* message) {
   if (message != nullptr) message->clear();
@@ -54,19 +78,9 @@ AdmissionError validate_request(const SolveRequest& request,
     if (message != nullptr) *message = "graph is not a DAG";
     return AdmissionError::kCycle;
   }
-  try {
-    validate_aco_params(request.params);
-  } catch (const support::CheckError& e) {
-    if (message != nullptr) {
-      // CheckError's text ends in "at <abs-path>:<line>"; strip that so
-      // the wire message is stable across checkouts (golden transcripts
-      // diff these bytes).
-      std::string what = e.what();
-      if (const auto pos = what.rfind(" at /"); pos != std::string::npos) {
-        what.resize(pos);
-      }
-      *message = std::move(what);
-    }
+  std::string error = aco_params_error(request.params);
+  if (!error.empty()) {
+    if (message != nullptr) *message = std::move(error);
     return AdmissionError::kBadParam;
   }
   return AdmissionError::kNone;
@@ -101,9 +115,20 @@ SolveOutcome solve(const SolveRequest& request) {
   resolve_cycles(*request.graph, request.cycle_policy, request.params.seed,
                  phase0);
   outcome.reversed_edges = std::move(phase0.reversed_edges);
+  const graph::Digraph& g = *phase0.graph;
+  // One frozen CSR snapshot serves every walk and metrics evaluation of
+  // the run: the ants only read the topology.
+  const graph::CsrView csr(g);
+  // Serial ants need no pool: a one-worker pool would create and join an
+  // OS thread that parallel_for's single-thread shortcut never uses.
+  std::optional<support::ThreadPool> pool;
+  const int threads = request.params.num_threads;
+  if (threads != 1 && g.num_vertices() > 0) {
+    pool.emplace(threads <= 0 ? 0 : static_cast<std::size_t>(threads));
+  }
   ColonyWorkspace ws;
-  outcome.result =
-      run_validated_colony(*phase0.graph, request.params, ws, request.warm_tau);
+  outcome.result = run_colony(g, csr, request.params, ws,
+                              pool ? &*pool : nullptr, request.warm_tau);
   return outcome;
 }
 

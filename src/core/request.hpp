@@ -1,13 +1,15 @@
-// The unified request/response surface of the solver (PR 7 API redesign).
+// The unified request/response surface of the solver.
 //
-// Every entry point into the colony engine — the one-shot solve() below
-// (and AntColony::run() behind it), BatchSolver::submit, and the serving
-// layer's wire protocol — consumes one core::SolveRequest and reports
-// admission failures as structured AdmissionError codes in a
-// core::SolveOutcome, instead of the three call sites each throwing bare
-// exceptions with inconsistent messages. The throwing constructors/submit
-// overloads remain as thin deprecated shims so existing callers compile;
-// new code should prefer the request path.
+// The colony engine has three entry points, and all of them consume one
+// core::SolveRequest (or its params) and report admission failures as
+// structured AdmissionError codes in a core::SolveOutcome:
+//   * core::solve (below) — one blocking solve on the calling thread;
+//   * core::BatchSolver::submit / submit_update, harvested with
+//     poll_outcome / wait_outcome / collect_outcome (batch.hpp) — many
+//     solves concurrently on a worker pool;
+//   * core::IncrementalSolver (incremental.hpp) — one evolving graph
+//     re-solved warm after each edit.
+// The serving layer's wire protocol maps onto the BatchSolver verbs.
 //
 // A request carries the full scheduling envelope (deadline, priority,
 // warm-start hook). The core solvers deliberately ignore the scheduling
@@ -104,6 +106,12 @@ struct SolveOutcome {
   bool ok() const { return error == AdmissionError::kNone; }
 };
 
+/// The AcoParams range check shared by every entry point: empty when
+/// `params` is valid, otherwise the text of the first violated bound,
+/// "ACOLAY_CHECK failed: (<bound>)" — the bad_param wire message. Never
+/// throws.
+std::string aco_params_error(const AcoParams& params);
+
 /// The shared admission gate: checks the graph (present; acyclic unless
 /// the cycle policy admits cycles) and the params ranges. Returns the
 /// verdict and, when `message` is non-null, fills it with the failure
@@ -131,10 +139,11 @@ struct CycleResolution {
 void resolve_cycles(const graph::Digraph& g, CyclePolicy policy,
                     std::uint64_t seed, CycleResolution& out);
 
-/// One-shot structured solve: validates, freezes a CSR snapshot, runs the
-/// colony (per params.num_threads), and returns the outcome. Admission
-/// failures come back as codes, never exceptions — the request-path
-/// counterpart of constructing an AntColony and calling run().
+/// One-shot structured solve: validates, runs Phase 0, freezes a CSR
+/// snapshot and runs the colony on the calling thread — its ants serially
+/// for params.num_threads == 1, else on a transient pool of that many
+/// workers (bit-identical either way). Admission failures come back as
+/// codes, never exceptions.
 SolveOutcome solve(const SolveRequest& request);
 
 }  // namespace acolay::core

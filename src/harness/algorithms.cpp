@@ -5,7 +5,7 @@
 #include "baselines/min_width.hpp"
 #include "baselines/network_simplex.hpp"
 #include "baselines/promote.hpp"
-#include "core/colony.hpp"
+#include "core/request.hpp"
 #include "support/check.hpp"
 #include "support/timer.hpp"
 
@@ -69,9 +69,13 @@ RunResult run_algorithm(Algorithm alg, const graph::Digraph& g,
       result.layering = std::move(l);
       break;
     }
-    case Algorithm::kAntColony:
-      result.layering = core::aco_layering(g, opts.aco);
+    case Algorithm::kAntColony: {
+      core::SolveOutcome outcome =
+          core::solve({.graph = &g, .params = opts.aco});
+      ACOLAY_CHECK_MSG(outcome.ok(), outcome.message);
+      result.layering = std::move(outcome.result.layering);
       break;
+    }
     case Algorithm::kNetworkSimplex:
       result.layering = baselines::network_simplex_layering(g);
       break;

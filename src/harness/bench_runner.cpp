@@ -11,7 +11,7 @@
 #include <sstream>
 #include <type_traits>
 
-#include "core/colony.hpp"
+#include "core/request.hpp"
 #include "support/check.hpp"
 #include "support/csv.hpp"
 #include "support/table.hpp"
@@ -124,8 +124,10 @@ TraceSummary record_trace_summary(const BenchConfig& config,
   core::AcoParams params = config.aco;
   params.record_trace = true;
   params.num_threads = config.num_threads;
-  core::AntColony colony(g, params);
-  const auto result = colony.run();
+  const core::SolveOutcome outcome =
+      core::solve({.graph = &g, .params = params});
+  ACOLAY_CHECK_MSG(outcome.ok(), outcome.message);
+  const core::AcoResult& result = outcome.result;
   trace.graph_vertices = static_cast<int>(g.num_vertices());
   trace.graph_edges = g.num_edges();
   trace.initial_objective = result.initial_objective;

@@ -23,7 +23,6 @@ core::BatchOptions solver_options(const ServeOptions& options,
                                   support::WakeSignal* wake) {
   core::BatchOptions batch;
   batch.num_threads = options.num_threads;
-  batch.derive_seeds = false;  // the wire seed is authoritative
   batch.completion_gate = options.completion_gate;
   batch.wake = wake;
   return batch;
@@ -123,7 +122,7 @@ void Server::push_line(std::string_view line) {
   resolve_held();
   dispatch();
 
-  const std::size_t index = entries_.size();
+  const std::size_t index = next_emit_ + entries_.size();
   entries_.emplace_back();
   Entry& entry = entries_.back();
 
@@ -163,8 +162,8 @@ void Server::push_line(std::string_view line) {
     return;
   }
 
-  // The shared admission gate (same code path as AntColony and direct
-  // BatchSolver use): cycles and out-of-range params are rejected here,
+  // The shared admission gate (the one core::solve and BatchSolver::submit
+  // apply): cycles and out-of-range params are rejected here,
   // before the request can occupy a queue slot.
   core::SolveRequest probe;
   probe.graph = &parsed.graph;
@@ -217,7 +216,7 @@ bool Server::resolve_held() {
   bool progress = false;
   while (!held_.empty()) {
     Held& held = held_.front();
-    const bool resolved = entries_[held.index].warm
+    const bool resolved = entry_at(held.index).warm
                               ? claim_warm_slot(held.base)
                               : resolve_delta(held);
     if (!resolved) break;
@@ -228,7 +227,7 @@ bool Server::resolve_held() {
 }
 
 bool Server::resolve_delta(Held& held) {
-  Entry& entry = entries_[held.index];
+  Entry& entry = entry_at(held.index);
   // A live session chain first (keyed by its current fingerprint, which
   // stage() already moved on for an update still in flight) …
   IncSession* session = nullptr;
@@ -246,7 +245,7 @@ bool Server::resolve_delta(Held& held) {
   // the delta chain evolve independently from the snapshot point.
   if (session == nullptr && options_.max_incremental_sessions > 0) {
     for (std::size_t j = next_emit_; j < held.index; ++j) {
-      const Entry& earlier = entries_[j];
+      const Entry& earlier = entry_at(j);
       if (earlier.warm && earlier.fingerprint == held.base &&
           earlier.state != State::kDone) {
         return false;
@@ -333,7 +332,7 @@ bool Server::claim_warm_slot(std::uint64_t fingerprint) {
 }
 
 bool Server::try_dedup(std::size_t index) {
-  Entry& entry = entries_[index];
+  Entry& entry = entry_at(index);
   // Warm requests want a fresh evolution step, not somebody else's result,
   // so they neither join nor lead shared solves.
   if (!options_.enable_dedup || entry.warm) return false;
@@ -350,7 +349,7 @@ bool Server::try_dedup(std::size_t index) {
     }
   }
   for (const std::size_t leader : inflight_) {
-    const Entry& lead = entries_[leader];
+    const Entry& lead = entry_at(leader);
     if (lead.warm || lead.fingerprint != entry.fingerprint) continue;
     if (lead.params == entry.params &&
         lead.cycle_policy == entry.cycle_policy &&
@@ -372,7 +371,7 @@ bool Server::dispatch() {
     const auto popped = queue_.pop();
     if (!popped) break;
     const std::size_t index = *popped;
-    Entry& entry = entries_[index];
+    Entry& entry = entry_at(index);
 
     // A warm solve waits for its own slot claim, which resolves only after
     // every earlier held delta: it never overtakes one, since it could
@@ -422,7 +421,7 @@ bool Server::dispatch() {
   }
   // Popped just now, so the queue has room for every one of them.
   for (const std::size_t index : deferred) {
-    queue_.push(index, entries_[index].priority);
+    queue_.push(index, entry_at(index).priority);
   }
   return progress;
 }
@@ -430,7 +429,7 @@ bool Server::dispatch() {
 bool Server::harvest() {
   bool progress = false;
   for (auto it = inflight_.begin(); it != inflight_.end();) {
-    Entry& entry = entries_[*it];
+    Entry& entry = entry_at(*it);
     if (!solver_.done(entry.job)) {
       ++it;
       continue;
@@ -475,8 +474,7 @@ bool Server::harvest() {
 
     // Followers joined this solve while it was in flight; hand each a copy.
     const std::size_t leader = *it;
-    for (std::size_t j = next_emit_; j < entries_.size(); ++j) {
-      Entry& follower = entries_[j];
+    for (Entry& follower : entries_) {
       if (follower.state == State::kFollower && follower.leader == leader) {
         follower.outcome = entry.outcome;
         follower.state = State::kDone;
@@ -487,7 +485,7 @@ bool Server::harvest() {
   }
 
   for (auto it = updating_.begin(); it != updating_.end();) {
-    Entry& entry = entries_[it->index];
+    Entry& entry = entry_at(it->index);
     if (!solver_.done(entry.job)) {
       ++it;
       continue;
@@ -513,9 +511,8 @@ bool Server::harvest() {
 
 bool Server::emit() {
   bool progress = false;
-  while (next_emit_ < entries_.size() &&
-         entries_[next_emit_].state == State::kDone) {
-    Entry& entry = entries_[next_emit_];
+  while (!entries_.empty() && entries_.front().state == State::kDone) {
+    Entry& entry = entries_.front();
     if (!entry.canned.empty()) {
       responses_.push_back(std::move(entry.canned));
     } else if (entry.outcome.ok()) {
@@ -530,10 +527,8 @@ bool Server::emit() {
       responses_.push_back(render_error_response(entry.id, entry.outcome.error,
                                                  entry.outcome.message));
     }
-    // Answered: shed everything graph-sized; the O(1) record remains.
-    entry.graph = graph::Digraph{};
-    entry.outcome = core::SolveOutcome{};
-    entry.canned = std::string{};
+    // Answered: nothing refers to this record any more (see entry_at).
+    entries_.pop_front();
     ++next_emit_;
     progress = true;
   }
@@ -571,9 +566,7 @@ std::vector<std::string> Server::take_responses() {
   return out;
 }
 
-std::size_t Server::outstanding() const {
-  return entries_.size() - next_emit_;
-}
+std::size_t Server::outstanding() const { return entries_.size(); }
 
 void serve_stream(std::istream& in, std::ostream& out, Server& server) {
   support::WakeSignal& wake = server.wake();

@@ -55,11 +55,10 @@
 //    line.
 //
 // Serving contract (pinned by tests/server_session_test.cpp): a cold
-// (non-warm) served result is bit-identical to a direct
-// BatchSolver::solve_all over the same (graph, params) at any thread
-// count — the session never rewrites params, and dedup only ever shares
-// results between requests that are exactly equal, which determinism
-// already makes identical.
+// (non-warm) served result is bit-identical to a direct core::solve of
+// the same (graph, params) at any thread count — the session never
+// rewrites params, and dedup only ever shares results between requests
+// that are exactly equal, which determinism already makes identical.
 //
 // Threading: the Server itself is single-threaded (one owner calls
 // push_line/step/drain); all parallelism — solves and the finish() half
@@ -226,6 +225,10 @@ class Server {
   /// Warm slots currently kept (never more than options().max_warm_slots).
   std::size_t num_warm_slots() const { return warm_.size(); }
 
+  /// Frame records currently kept: a frame's record is dropped once its
+  /// response is emitted, so this never exceeds outstanding().
+  std::size_t num_records() const { return entries_.size(); }
+
   /// Resolved in-flight cap (options().max_inflight or the worker count).
   std::size_t max_inflight() const { return max_inflight_; }
 
@@ -343,10 +346,17 @@ class Server {
   /// still has users. With max_warm_slots == 0 it claims nothing and the
   /// solve runs cold.
   bool claim_warm_slot(std::uint64_t fingerprint);
+  /// The record of the frame with absolute arrival index `index`, which
+  /// must not be answered yet. Queue, in-flight, held and follower
+  /// references all name unanswered frames (a follower's leader is in
+  /// flight), so every stored index resolves here.
+  Entry& entry_at(std::size_t index) { return entries_[index - next_emit_]; }
 
   ServeOptions options_;
   ClockFn clock_;
   support::Stopwatch stopwatch_;  ///< backs the default clock
+  /// Records of the unanswered frames, arrival order; the front is frame
+  /// next_emit_, and emit() pops each record as it answers it.
   std::deque<Entry> entries_;
   RequestQueue queue_;
   std::vector<std::size_t> inflight_;  ///< entry indices, dispatch order
@@ -361,7 +371,7 @@ class Server {
   std::deque<IncSession> sessions_;
   std::deque<Held> held_;  ///< unresolved deltas and claims, arrival order
   std::vector<Update> updating_;  ///< staged deltas in flight
-  std::size_t next_emit_ = 0;          ///< first entry without a response
+  std::size_t next_emit_ = 0;  ///< arrival index of the first unanswered frame
   std::vector<std::string> responses_;
   std::size_t max_inflight_ = 1;
   ServeStats stats_;

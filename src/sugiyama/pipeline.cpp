@@ -1,6 +1,6 @@
 #include "sugiyama/pipeline.hpp"
 
-#include "core/colony.hpp"
+#include "core/request.hpp"
 #include "graph/algorithms.hpp"
 #include "support/check.hpp"
 
@@ -10,7 +10,7 @@ Layout compute_layout(const graph::Digraph& g, const LayoutOptions& opts) {
   Layout layout;
 
   // 1. Cycle removal (no-op for DAGs).
-  auto acyclic = make_acyclic(g);
+  auto acyclic = graph::make_acyclic(g);
   layout.dag = std::move(acyclic.dag);
   layout.reversed_edges = std::move(acyclic.reversed_edges);
 
@@ -23,7 +23,10 @@ Layout compute_layout(const graph::Digraph& g, const LayoutOptions& opts) {
                                                         layout.layering));
     layering::normalize(layout.layering);
   } else {
-    layout.layering = core::aco_layering(layout.dag, opts.aco);
+    core::SolveOutcome outcome =
+        core::solve({.graph = &layout.dag, .params = opts.aco});
+    ACOLAY_CHECK_MSG(outcome.ok(), outcome.message);
+    layout.layering = std::move(outcome.result.layering);
   }
   layout.metrics = layering::compute_metrics(
       layout.dag, layout.layering, layering::MetricsOptions{opts.dummy_width});

@@ -15,12 +15,12 @@
 #include <string>
 
 #include "core/params.hpp"
+#include "graph/cycle_removal.hpp"
 #include "graph/digraph.hpp"
 #include "layering/layering.hpp"
 #include "layering/metrics.hpp"
 #include "layering/proper.hpp"
 #include "sugiyama/coordinates.hpp"
-#include "sugiyama/cycle_removal.hpp"
 #include "sugiyama/ordering.hpp"
 #include "sugiyama/svg.hpp"
 

@@ -1,15 +1,15 @@
 // core::BatchSolver: API contract, equivalence to the sequential
-// AntColony::run() loop it is documented to be bit-identical to, and the
+// core::solve loop it is documented to be bit-identical to, and the
 // per-worker workspace pooling (no cross-graph leakage, no state carried
 // between jobs beyond buffer capacity). Thread-count and permutation
 // determinism at corpus scale lives in tests/determinism_test.cpp.
 #include <gtest/gtest.h>
 
-#include <span>
 #include <vector>
 
 #include "core/batch.hpp"
 #include "core/colony.hpp"
+#include "core/request.hpp"
 #include "layering/layering.hpp"
 #include "support/check.hpp"
 #include "test_util.hpp"
@@ -48,12 +48,14 @@ TEST(BatchSolver, SolveAllMatchesSequentialColonyLoop) {
   const auto params = small_params();
 
   core::BatchSolver solver;
-  const auto batch = solver.solve_all(graphs, params);
-
-  ASSERT_EQ(batch.size(), graphs.size());
+  std::vector<core::BatchJobId> ids;
+  for (const auto& g : graphs) {
+    ids.push_back(test::submit_request(solver, g, params));
+  }
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const auto sequential = core::AntColony(graphs[i], params).run();
-    expect_same_result(batch[i], sequential);
+    const auto batch = solver.collect_outcome(ids[i]);
+    ASSERT_TRUE(batch.ok()) << batch.message;
+    expect_same_result(batch.result, test::solve_result(graphs[i], params));
   }
 }
 
@@ -67,12 +69,13 @@ TEST(BatchSolver, PerGraphParamsVariantMatchesSequentialLoop) {
   }
 
   core::BatchSolver solver;
-  const auto batch = solver.solve_all(graphs, params);
-
-  ASSERT_EQ(batch.size(), graphs.size());
+  std::vector<core::BatchJobId> ids;
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    const auto sequential = core::AntColony(graphs[i], params[i]).run();
-    expect_same_result(batch[i], sequential);
+    ids.push_back(test::submit_request(solver, graphs[i], params[i]));
+  }
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    expect_same_result(test::wait_result(solver, ids[i]),
+                       test::solve_result(graphs[i], params[i]));
   }
 }
 
@@ -104,21 +107,6 @@ TEST(BatchSolver, WaitAllFinishesEveryJob) {
   for (const auto id : ids) EXPECT_TRUE(solver.done(id));
 }
 
-TEST(BatchSolver, DeriveSeedsMatchesManualDerivation) {
-  const auto graphs = test::random_battery(5);
-  const auto base = small_params(7000);
-
-  core::BatchSolver solver(core::BatchOptions{0, /*derive_seeds=*/true});
-  const auto batch = solver.solve_all(graphs, base);
-
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    auto derived = base;
-    derived.seed = base.seed + i;
-    const auto sequential = core::AntColony(graphs[i], derived).run();
-    expect_same_result(batch[i], sequential);
-  }
-}
-
 TEST(BatchSolver, ResultsStableUnderSubmissionOrderPermutation) {
   const auto graphs = test::random_battery(7);
   core::BatchSolver forward;
@@ -136,22 +124,21 @@ TEST(BatchSolver, ResultsStableUnderSubmissionOrderPermutation) {
   }
 
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    expect_same_result(test::wait_result(forward, forward_ids[i]),
-                       test::wait_result(backward, backward_ids[i]));
+    const auto reference = test::solve_result(graphs[i], small_params(10 + i));
+    expect_same_result(test::wait_result(forward, forward_ids[i]), reference);
+    expect_same_result(test::wait_result(backward, backward_ids[i]),
+                       reference);
   }
 }
 
 TEST(BatchSolver, WorkspaceReuseHasNoCrossGraphLeakage) {
   // One solver's workers carry their (warm) workspaces from job to job;
   // re-submitting a graph after the workspaces have been dirtied by other
-  // graphs must reproduce the cold-solver result bit for bit.
+  // graphs must reproduce the sequential result bit for bit.
   const auto graphs = test::random_battery(6);
   const auto& probe = graphs.front();
   const auto params = small_params(5);
-
-  core::BatchSolver cold;
-  const auto reference =
-      test::wait_result(cold, test::submit_request(cold, probe, params));
+  const auto reference = test::solve_result(probe, params);
 
   core::BatchSolver warm;
   const auto first = test::submit_request(warm, probe, params);
@@ -170,7 +157,6 @@ TEST(BatchSolver, WorkspaceReuseHasNoCrossGraphLeakage) {
 TEST(BatchSolver, CollectMovesTheResultAndReleasesTheJob) {
   const auto graphs = test::random_battery(4);
   const auto params = small_params(8);
-  core::BatchSolver reference_solver;
   core::BatchSolver solver;
 
   std::vector<core::BatchJobId> ids;
@@ -181,9 +167,8 @@ TEST(BatchSolver, CollectMovesTheResultAndReleasesTheJob) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const auto collected = solver.collect_outcome(ids[i]);
     ASSERT_TRUE(collected.ok());
-    const auto& reference = test::wait_result(
-        reference_solver, test::submit_request(reference_solver, graphs[i], params));
-    expect_same_result(collected.result, reference);
+    expect_same_result(collected.result,
+                       test::solve_result(graphs[i], params));
     // The job stays done but its stored state is gone: wait/poll/collect
     // on a collected job are contract violations, not silent empties.
     EXPECT_TRUE(solver.done(ids[i]));
@@ -195,11 +180,8 @@ TEST(BatchSolver, CollectMovesTheResultAndReleasesTheJob) {
   const auto late = test::submit_request(solver, graphs.front(), params);
   const auto late_collected = solver.collect_outcome(late);
   ASSERT_TRUE(late_collected.ok());
-  expect_same_result(
-      late_collected.result,
-      test::wait_result(reference_solver, test::submit_request(
-                                              reference_solver,
-                                              graphs.front(), params)));
+  expect_same_result(late_collected.result,
+                     test::solve_result(graphs.front(), params));
 }
 
 TEST(BatchSolver, RejectsCyclicGraphsAtAdmission) {
@@ -208,9 +190,7 @@ TEST(BatchSolver, RejectsCyclicGraphsAtAdmission) {
   cyclic.add_edge(1, 2);
   cyclic.add_edge(2, 0);
   core::BatchSolver solver;
-  // Structured path: the rejection is a born-finished outcome, not a
-  // throw (the deprecated shim's throwing behaviour is pinned in
-  // tests/core_request_test.cpp).
+  // The rejection is a born-finished outcome, not a throw.
   const auto id = test::submit_request(solver, cyclic, small_params());
   EXPECT_TRUE(solver.done(id));
   EXPECT_EQ(solver.wait_outcome(id).error, core::AdmissionError::kCycle);
@@ -249,9 +229,8 @@ TEST(BatchSolver, UnknownJobIdThrows) {
 
 TEST(BatchSolver, EmptyBatchAndEmptyGraph) {
   core::BatchSolver solver;
-  const auto none =
-      solver.solve_all(std::span<const graph::Digraph>{}, small_params());
-  EXPECT_TRUE(none.empty());
+  solver.wait_all();  // nothing submitted: returns at once
+  EXPECT_EQ(solver.num_jobs(), 0u);
 
   const graph::Digraph empty;
   const auto& result =
@@ -264,30 +243,11 @@ TEST(BatchSolver, DestructorDrainsOutstandingJobs) {
   // have run (the pool drains its queue), not abandon or crash them.
   const auto graphs = test::random_battery(6);
   {
-    core::BatchSolver solver(core::BatchOptions{2, false});
+    core::BatchSolver solver(core::BatchOptions{.num_threads = 2});
     for (const auto& g : graphs) test::submit_request(solver, g, small_params());
     // No wait: the destructor owns the drain.
   }
   SUCCEED();
-}
-
-TEST(BatchSolver, SolveAllSizeMismatchThrows) {
-  const auto graphs = test::random_battery(3);
-  std::vector<core::AcoParams> params(2, small_params());
-  core::BatchSolver solver;
-  EXPECT_THROW(solver.solve_all(graphs, params), support::CheckError);
-}
-
-TEST(SolveBatch, OneShotHelperMatchesSolver) {
-  const auto graphs = test::random_battery(4);
-  const auto params = small_params(99);
-  const auto helper = core::solve_batch(graphs, params);
-  core::BatchSolver solver;
-  const auto direct = solver.solve_all(graphs, params);
-  ASSERT_EQ(helper.size(), direct.size());
-  for (std::size_t i = 0; i < helper.size(); ++i) {
-    expect_same_result(helper[i], direct[i]);
-  }
 }
 
 }  // namespace

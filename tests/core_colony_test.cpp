@@ -1,6 +1,7 @@
-// Tests for the AntColony (paper §V–§VI): end-to-end search behaviour,
-// determinism across thread counts, trace integrity, improvement over the
-// stretched-LPL start, and small-instance optimality.
+// Tests for the colony search (paper §V–§VI), run through core::solve:
+// end-to-end search behaviour, determinism across thread counts, trace
+// integrity, improvement over the stretched-LPL start, and small-instance
+// optimality.
 #include "core/colony.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "baselines/brute_force.hpp"
 #include "baselines/longest_path.hpp"
 #include "core/aco.hpp"
+#include "core/request.hpp"
 #include "layering/metrics.hpp"
 #include "test_util.hpp"
 
@@ -24,8 +26,7 @@ AcoParams fast_params(std::uint64_t seed = 1) {
 
 TEST(Colony, ProducesValidNormalizedLayerings) {
   for (const auto& g : test::random_battery(12)) {
-    AntColony colony(g, fast_params());
-    const auto result = colony.run();
+    const auto result = test::solve_result(g, fast_params());
     EXPECT_TRUE(layering::is_valid_layering(g, result.layering))
         << layering::validate_layering(g, result.layering);
     EXPECT_EQ(result.layering.max_layer(),
@@ -35,8 +36,7 @@ TEST(Colony, ProducesValidNormalizedLayerings) {
 
 TEST(Colony, MetricsMatchReturnedLayering) {
   const auto g = test::random_battery(1, 5).front();
-  AntColony colony(g, fast_params());
-  const auto result = colony.run();
+  const auto result = test::solve_result(g, fast_params());
   const auto recomputed = layering::compute_metrics(
       g, result.layering, layering::MetricsOptions{1.0});
   EXPECT_EQ(result.metrics.height, recomputed.height);
@@ -51,8 +51,7 @@ TEST(Colony, ReturnsBestTourObjective) {
   // ants' layering, not max(start, walks) — the ACO trades height for
   // width, so the start can have a higher objective).
   for (const auto& g : test::random_battery(12)) {
-    AntColony colony(g, fast_params(17));
-    const auto result = colony.run();
+    const auto result = test::solve_result(g, fast_params(17));
     double best_traced = 0.0;
     for (const auto& tour : result.trace) {
       best_traced = std::max(best_traced, tour.best_objective);
@@ -63,8 +62,8 @@ TEST(Colony, ReturnsBestTourObjective) {
 
 TEST(Colony, DeterministicForFixedSeed) {
   const auto g = test::random_battery(1, 77).front();
-  const auto a = AntColony(g, fast_params(123)).run();
-  const auto b = AntColony(g, fast_params(123)).run();
+  const auto a = test::solve_result(g, fast_params(123));
+  const auto b = test::solve_result(g, fast_params(123));
   EXPECT_EQ(a.layering, b.layering);
   EXPECT_DOUBLE_EQ(a.metrics.objective, b.metrics.objective);
 }
@@ -73,8 +72,8 @@ TEST(Colony, SeedChangesSearchTrajectory) {
   // Different seeds explore differently; on a 30-vertex graph the traces
   // should diverge (final layerings may coincide on easy instances).
   const auto g = test::random_battery(1, 99).front();
-  const auto a = AntColony(g, fast_params(1)).run();
-  const auto b = AntColony(g, fast_params(2)).run();
+  const auto a = test::solve_result(g, fast_params(1));
+  const auto b = test::solve_result(g, fast_params(2));
   ASSERT_FALSE(a.trace.empty());
   ASSERT_FALSE(b.trace.empty());
   bool any_difference = false;
@@ -95,8 +94,8 @@ TEST(Colony, ThreadCountDoesNotChangeResult) {
     serial_params.num_threads = 1;
     auto parallel_params = fast_params(55);
     parallel_params.num_threads = 4;
-    const auto serial = AntColony(g, serial_params).run();
-    const auto parallel = AntColony(g, parallel_params).run();
+    const auto serial = test::solve_result(g, serial_params);
+    const auto parallel = test::solve_result(g, parallel_params);
     EXPECT_EQ(serial.layering, parallel.layering);
     EXPECT_DOUBLE_EQ(serial.metrics.objective, parallel.metrics.objective);
   }
@@ -106,7 +105,7 @@ TEST(Colony, TraceHasOneEntryPerTour) {
   const auto g = test::small_dag();
   auto params = fast_params();
   params.num_tours = 7;
-  const auto result = AntColony(g, params).run();
+  const auto result = test::solve_result(g, params);
   ASSERT_EQ(result.trace.size(), 7u);
   for (std::size_t t = 0; t < result.trace.size(); ++t) {
     const auto& stats = result.trace[t];
@@ -121,7 +120,7 @@ TEST(Colony, TraceHasOneEntryPerTour) {
 TEST(Colony, TraceDisabledWhenRequested) {
   auto params = fast_params();
   params.record_trace = false;
-  const auto result = AntColony(test::small_dag(), params).run();
+  const auto result = test::solve_result(test::small_dag(), params);
   EXPECT_TRUE(result.trace.empty());
 }
 
@@ -129,7 +128,7 @@ TEST(Colony, ZeroToursReturnsStretchedLplBaseline) {
   auto params = fast_params();
   params.num_tours = 0;
   const auto g = test::small_dag();
-  const auto result = AntColony(g, params).run();
+  const auto result = test::solve_result(g, params);
   EXPECT_EQ(result.layering, baselines::longest_path_layering(g));
   EXPECT_DOUBLE_EQ(result.metrics.objective, result.initial_objective);
 }
@@ -141,7 +140,7 @@ TEST(Colony, FindsOptimumOnTinyInstances) {
     auto params = fast_params(3);
     params.num_ants = 10;
     params.num_tours = 10;
-    const auto result = AntColony(g, params).run();
+    const auto result = test::solve_result(g, params);
     const auto optimal = baselines::brute_force_max_objective(
         g, static_cast<int>(g.num_vertices()));
     EXPECT_DOUBLE_EQ(result.metrics.objective,
@@ -156,39 +155,21 @@ TEST(Colony, RejectsCyclicInput) {
   graph::Digraph g(2);
   g.add_edge(0, 1);
   g.add_edge(1, 0);
-  EXPECT_THROW(AntColony(g, fast_params()), support::CheckError);
-}
-
-TEST(Colony, RejectsInvalidParams) {
-  const auto g = test::diamond();
-  auto bad = fast_params();
-  bad.num_ants = 0;
-  EXPECT_THROW(AntColony(g, bad), support::CheckError);
-  bad = fast_params();
-  bad.rho = 1.5;
-  EXPECT_THROW(AntColony(g, bad), support::CheckError);
-  bad = fast_params();
-  bad.eta_epsilon = 0.0;
-  EXPECT_THROW(AntColony(g, bad), support::CheckError);
+  EXPECT_EQ(solve({.graph = &g, .params = fast_params()}).error,
+            AdmissionError::kCycle);
 }
 
 TEST(Colony, EmptyGraph) {
   graph::Digraph g;
-  const auto result = AntColony(g, fast_params()).run();
+  const auto result = test::solve_result(g, fast_params());
   EXPECT_EQ(result.layering.num_vertices(), 0u);
 }
 
 TEST(Colony, SingleVertex) {
   graph::Digraph g(1);
-  const auto result = AntColony(g, fast_params()).run();
+  const auto result = test::solve_result(g, fast_params());
   EXPECT_EQ(result.layering.layer(0), 1);
   EXPECT_EQ(result.metrics.height, 1);
-}
-
-TEST(Colony, ConvenienceWrapperMatchesFullRun) {
-  const auto g = test::small_dag();
-  const auto params = fast_params(7);
-  EXPECT_EQ(aco_layering(g, params), AntColony(g, params).run().layering);
 }
 
 /// Stretch-mode sweep: the colony must be valid and no worse than its start
@@ -200,7 +181,7 @@ TEST_P(ColonyStretchModes, ValidResults) {
   auto params = fast_params(13);
   params.stretch = GetParam();
   for (const auto& g : test::random_battery(8)) {
-    const auto result = AntColony(g, params).run();
+    const auto result = test::solve_result(g, params);
     EXPECT_TRUE(layering::is_valid_layering(g, result.layering));
     EXPECT_GT(result.metrics.objective, 0.0);
   }

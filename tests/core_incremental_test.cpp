@@ -53,7 +53,7 @@ TEST(IncrementalSolver, ColdSolveMatchesAntColonyBitExactly) {
   IncrementalSolver solver(g, params);
   const SolveOutcome& outcome = solver.solve();
   ASSERT_TRUE(outcome.ok());
-  const AcoResult direct = AntColony(g, params).run();
+  const AcoResult direct = test::solve_result(g, params);
   EXPECT_EQ(outcome.result.layering.raw(), direct.layering.raw());
   EXPECT_EQ(outcome.result.metrics.objective, direct.metrics.objective);
   EXPECT_EQ(solver.fingerprint(), graph::CsrView(g).fingerprint());
@@ -116,7 +116,7 @@ TEST(IncrementalSolver, FingerprintStaysDeltaComposedAcrossUpdates) {
 TEST(IncrementalSolver, AdoptSeedsStateWithoutASolve) {
   const graph::Digraph g = test::small_dag();
   const AcoParams params = quick_params();
-  const AcoResult cold = AntColony(g, params).run();
+  const AcoResult cold = test::solve_result(g, params);
 
   IncrementalSolver solver(g, params);
   PheromoneMatrix tau;  // empty: shape mismatch falls back to tau0
@@ -160,7 +160,7 @@ TEST(IncrementalSolver, UpdateNeverReturnsWorseThanItsWarmBase) {
 TEST(IncrementalSolver, QualityWithinVersionedToleranceOver200Updates) {
   // The version-1 contract of core/incremental.hpp, re-measured the way it
   // was calibrated: 40 random edit scripts x 5 updates, each update's
-  // objective compared against a cold full-budget AntColony solve of the
+  // objective compared against a cold full-budget core::solve of the
   // identical post-delta graph.
   ASSERT_EQ(kIncrementalToleranceVersion, 1)
       << "tolerances re-versioned: recalibrate this test's expectations";
@@ -184,7 +184,7 @@ TEST(IncrementalSolver, QualityWithinVersionedToleranceOver200Updates) {
       const SolveOutcome& warm = solver.update(delta);
       ASSERT_TRUE(warm.ok());
       ASSERT_EQ(graph::apply_delta(mirror, delta), "");
-      const AcoResult cold = AntColony(mirror, params).run();
+      const AcoResult cold = test::solve_result(mirror, params);
       warm_sum += warm.result.metrics.objective;
       cold_sum += cold.metrics.objective;
       ++updates;

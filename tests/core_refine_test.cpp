@@ -84,8 +84,8 @@ TEST(GreedyRefine, EmptyGraph) {
 
 TEST(HybridAco, AtLeastAsGoodAsPlainColony) {
   for (const auto& g : test::random_battery(10)) {
-    const auto plain = AntColony(g, fast_params(9)).run();
-    const auto hybrid = hybrid_aco_layering(g, fast_params(9));
+    const auto plain = test::solve_result(g, fast_params(9));
+    const auto hybrid = hybrid_layering(g, fast_params(9));
     EXPECT_TRUE(layering::is_valid_layering(g, hybrid.layering));
     EXPECT_GE(hybrid.metrics.objective, plain.metrics.objective - 1e-12);
   }
@@ -93,7 +93,7 @@ TEST(HybridAco, AtLeastAsGoodAsPlainColony) {
 
 TEST(HybridAco, MetricsMatchLayering) {
   const auto g = test::random_battery(1, 17).front();
-  const auto hybrid = hybrid_aco_layering(g, fast_params(3));
+  const auto hybrid = hybrid_layering(g, fast_params(3));
   const auto recomputed = layering::compute_metrics(g, hybrid.layering);
   EXPECT_DOUBLE_EQ(hybrid.metrics.objective, recomputed.objective);
   EXPECT_EQ(hybrid.metrics.dummy_count, recomputed.dummy_count);
@@ -101,8 +101,8 @@ TEST(HybridAco, MetricsMatchLayering) {
 
 TEST(HybridAco, DeterministicForFixedSeed) {
   const auto g = test::random_battery(1, 23).front();
-  const auto a = hybrid_aco_layering(g, fast_params(5));
-  const auto b = hybrid_aco_layering(g, fast_params(5));
+  const auto a = hybrid_layering(g, fast_params(5));
+  const auto b = hybrid_layering(g, fast_params(5));
   EXPECT_EQ(a.layering, b.layering);
 }
 
@@ -112,8 +112,8 @@ TEST(StagnationPolicy, StopEndsEarlyWithIdenticalResult) {
     baseline.num_tours = 10;
     auto stopping = baseline;
     stopping.stagnation = StagnationPolicy::kStop;
-    const auto full = AntColony(g, baseline).run();
-    const auto stopped = AntColony(g, stopping).run();
+    const auto full = test::solve_result(g, baseline);
+    const auto stopped = test::solve_result(g, stopping);
     // The frozen tail cannot change the best layering.
     EXPECT_EQ(stopped.layering, full.layering);
     EXPECT_LE(stopped.trace.size(), full.trace.size());
@@ -125,7 +125,7 @@ TEST(StagnationPolicy, ResetKeepsSearchingValidly) {
   params.num_tours = 12;
   params.stagnation = StagnationPolicy::kResetPheromone;
   for (const auto& g : test::random_battery(5)) {
-    const auto result = AntColony(g, params).run();
+    const auto result = test::solve_result(g, params);
     EXPECT_TRUE(layering::is_valid_layering(g, result.layering));
     EXPECT_EQ(result.trace.size(), 12u);  // reset never stops the run
   }

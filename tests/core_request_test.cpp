@@ -1,15 +1,19 @@
 // The unified SolveRequest/SolveOutcome surface: one admission gate for
-// every entry point, structured errors instead of exceptions, and the
-// guarantee that the structured paths produce bit-identical results to
-// the original throwing APIs they wrap.
+// every entry point, structured errors instead of exceptions, exact
+// bad_param messages for every AcoParams bound, and core::solve producing
+// bit-identical results to the colony engine it wraps.
 #include "core/request.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "core/batch.hpp"
 #include "core/colony.hpp"
+#include "core/incremental.hpp"
+#include "graph/csr.hpp"
 #include "support/check.hpp"
 #include "test_util.hpp"
 
@@ -76,6 +80,75 @@ TEST(ValidateRequest, RejectsMissingGraphCycleAndBadParams) {
             AdmissionError::kBadParam);
 }
 
+/// One row per AcoParams bound: a value just outside it, and the exact
+/// bad_param message naming it (the wire text golden transcripts diff).
+struct ParamsBound {
+  std::function<void(AcoParams&)> violate;
+  const char* message;
+};
+
+std::vector<ParamsBound> params_bounds() {
+  return {
+      {[](AcoParams& p) { p.num_ants = 0; },
+       "ACOLAY_CHECK failed: (params.num_ants >= 1)"},
+      {[](AcoParams& p) { p.num_tours = -1; },
+       "ACOLAY_CHECK failed: (params.num_tours >= 0)"},
+      {[](AcoParams& p) { p.alpha = -0.5; },
+       "ACOLAY_CHECK failed: (params.alpha >= 0.0)"},
+      {[](AcoParams& p) { p.beta = -0.5; },
+       "ACOLAY_CHECK failed: (params.beta >= 0.0)"},
+      {[](AcoParams& p) { p.rho = -0.1; },
+       "ACOLAY_CHECK failed: (params.rho >= 0.0 && params.rho <= 1.0)"},
+      {[](AcoParams& p) { p.rho = 1.5; },
+       "ACOLAY_CHECK failed: (params.rho >= 0.0 && params.rho <= 1.0)"},
+      {[](AcoParams& p) { p.dummy_width = -1.0; },
+       "ACOLAY_CHECK failed: (params.dummy_width >= 0.0)"},
+      {[](AcoParams& p) { p.eta_epsilon = 0.0; },
+       "ACOLAY_CHECK failed: (params.eta_epsilon > 0.0)"},
+      {[](AcoParams& p) { p.tau0 = 0.0; },
+       "ACOLAY_CHECK failed: (params.tau0 > 0.0)"},
+      {[](AcoParams& p) { p.deposit = -1.0; },
+       "ACOLAY_CHECK failed: (params.deposit >= 0.0)"},
+      {[](AcoParams& p) {
+         p.tau_min = 2.0;
+         p.tau_max = 1.0;
+       },
+       "ACOLAY_CHECK failed: (params.tau_min <= params.tau_max)"},
+  };
+}
+
+TEST(ValidateRequest, RejectsEveryParamsBoundWithItsExactMessage) {
+  const auto g = test::diamond();
+  for (const ParamsBound& bound : params_bounds()) {
+    SolveRequest request;
+    request.graph = &g;
+    bound.violate(request.params);
+    std::string message;
+    EXPECT_EQ(validate_request(request, &message), AdmissionError::kBadParam)
+        << bound.message;
+    EXPECT_EQ(message, bound.message);
+    EXPECT_EQ(aco_params_error(request.params), bound.message);
+    // core::solve reports it the same way.
+    const SolveOutcome outcome = solve(request);
+    EXPECT_EQ(outcome.error, AdmissionError::kBadParam);
+    EXPECT_EQ(outcome.message, bound.message);
+  }
+  EXPECT_EQ(aco_params_error(AcoParams{}), "");
+}
+
+TEST(ValidateRequest, IncrementalSolverConstructorThrowsTheSameText) {
+  AcoParams params;
+  params.rho = 1.5;
+  try {
+    IncrementalSolver solver(test::diamond(), params);
+    ADD_FAILURE() << "constructor accepted rho = 1.5";
+  } catch (const support::CheckError& e) {
+    EXPECT_STREQ(e.what(),
+                 "ACOLAY_CHECK failed: (params.rho >= 0.0 && "
+                 "params.rho <= 1.0)");
+  }
+}
+
 TEST(StructuredSolve, NeverThrowsAndMatchesAntColonyBitExactly) {
   const auto g = test::small_dag();
   AcoParams params;
@@ -90,8 +163,10 @@ TEST(StructuredSolve, NeverThrowsAndMatchesAntColonyBitExactly) {
   EXPECT_EQ(outcome.error, AdmissionError::kNone);
   EXPECT_TRUE(outcome.message.empty());
 
-  AntColony colony(g, params);
-  const AcoResult direct = colony.run();
+  // The reference calls the engine directly, bypassing the request path.
+  const graph::CsrView csr(g);
+  ColonyWorkspace ws;
+  const AcoResult direct = run_colony(g, csr, params, ws, nullptr);
   EXPECT_EQ(outcome.result.layering.raw(), direct.layering.raw());
   EXPECT_EQ(outcome.result.metrics.objective, direct.metrics.objective);
   EXPECT_EQ(outcome.result.initial_objective, direct.initial_objective);
@@ -136,13 +211,6 @@ TEST(StructuredSolve, WarmTauRoundTripsThroughTheRun) {
   EXPECT_EQ(warm.result.layering.num_vertices(), g.num_vertices());
 }
 
-// The next two tests pin the deprecated throwing shims' behaviour on
-// purpose — they are the shims' only remaining coverage (rejections still
-// throw, legacy and structured paths stay bit-identical), so the
-// deprecation warnings are silenced here and nowhere else.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 TEST(BatchSolverRequests, AdmissionFailuresAreOutcomesNotExceptions) {
   BatchSolver solver(BatchOptions{.num_threads = 2});
   const auto loop = cyclic();
@@ -161,32 +229,7 @@ TEST(BatchSolverRequests, AdmissionFailuresAreOutcomesNotExceptions) {
   const SolveOutcome& solved = solver.wait_outcome(ok);
   ASSERT_TRUE(solved.ok());
   EXPECT_EQ(solved.result.layering.num_vertices(), g.num_vertices());
-
-  // The legacy accessors surface the structured rejection as the throw
-  // they always promised.
-  EXPECT_THROW(solver.wait(rejected), support::CheckError);
 }
-
-TEST(BatchSolverRequests, StructuredPathMatchesLegacyPathBitExactly) {
-  const auto battery = test::random_battery(6, 0xbeef);
-  AcoParams params;
-  params.num_tours = 3;
-
-  BatchSolver legacy(BatchOptions{.num_threads = 2});
-  BatchSolver structured(BatchOptions{.num_threads = 2});
-  for (std::size_t i = 0; i < battery.size(); ++i) {
-    params.seed = 1000 + i;
-    const BatchJobId a = legacy.submit(battery[i], params);
-    SolveRequest request;
-    request.graph = &battery[i];
-    request.params = params;
-    const BatchJobId b = structured.submit(request);
-    EXPECT_EQ(legacy.wait(a).layering.raw(),
-              structured.wait_outcome(b).result.layering.raw());
-  }
-}
-
-#pragma GCC diagnostic pop
 
 TEST(BatchSolverRequests, CollectOutcomeShedsAndGuardsDoubleCollect) {
   BatchSolver solver(BatchOptions{.num_threads = 1});
@@ -199,27 +242,6 @@ TEST(BatchSolverRequests, CollectOutcomeShedsAndGuardsDoubleCollect) {
   EXPECT_TRUE(solver.done(id));  // stays done after collection
   EXPECT_THROW(solver.collect_outcome(id), support::CheckError);
   EXPECT_THROW(solver.poll_outcome(id), support::CheckError);
-}
-
-TEST(BatchSolverRequests, DeriveSeedsAppliesToStructuredSubmits) {
-  const auto g = test::diamond();
-  AcoParams params;
-  params.num_tours = 3;
-  params.seed = 7;
-
-  BatchSolver derived(BatchOptions{.num_threads = 1, .derive_seeds = true});
-  SolveRequest request;
-  request.graph = &g;
-  request.params = params;
-  const BatchJobId first = derived.submit(request);   // effective seed 7
-  const BatchJobId second = derived.submit(request);  // effective seed 8
-
-  AcoParams direct = params;
-  direct.seed = 8;
-  AntColony colony(g, direct);
-  EXPECT_EQ(derived.wait_outcome(second).result.layering.raw(),
-            colony.run().layering.raw());
-  (void)first;
 }
 
 }  // namespace

@@ -93,8 +93,8 @@ TEST(BfsOrderWalk, ValidAndDeterministic) {
   params.num_tours = 4;
   params.seed = 77;
   for (const auto& g : test::random_battery(6)) {
-    const auto a = core::AntColony(g, params).run();
-    const auto b = core::AntColony(g, params).run();
+    const auto a = test::solve_result(g, params);
+    const auto b = test::solve_result(g, params);
     EXPECT_TRUE(layering::is_valid_layering(g, a.layering));
     EXPECT_EQ(a.layering, b.layering);
   }
@@ -108,8 +108,8 @@ TEST(BfsOrderWalk, DiffersFromRandomOrderSearch) {
   bfs.seed = 9;
   core::AcoParams random = bfs;
   random.order = core::VertexOrder::kRandom;
-  const auto a = core::AntColony(g, bfs).run();
-  const auto b = core::AntColony(g, random).run();
+  const auto a = test::solve_result(g, bfs);
+  const auto b = test::solve_result(g, random);
   // Traces must differ somewhere (same seed, different exploration).
   ASSERT_EQ(a.trace.size(), b.trace.size());
   bool differs = false;
@@ -122,7 +122,9 @@ TEST(BfsOrderWalk, DiffersFromRandomOrderSearch) {
 }
 
 TEST(AcoParams, BoundaryValuesAccepted) {
-  COVERS("acolay::core::validate_aco_params (boundary values)");
+  COVERS("acolay::core::aco_params_error (boundary values)");
+  // Every bound's boundary value is admitted and solves (the values just
+  // past each bound are ValidateRequest.RejectsEveryParamsBound...).
   const auto g = test::diamond();
   core::AcoParams params;
   params.num_ants = 1;
@@ -130,8 +132,16 @@ TEST(AcoParams, BoundaryValuesAccepted) {
   params.alpha = 0.0;
   params.beta = 0.0;  // both off: uniform choice, still valid
   params.rho = 1.0;   // full evaporation
-  const auto result = core::AntColony(g, params).run();
+  params.dummy_width = 0.0;
+  params.deposit = 0.0;
+  params.tau_min = 1.0;
+  params.tau_max = 1.0;
+  const auto result = test::solve_result(g, params);
   EXPECT_TRUE(layering::is_valid_layering(g, result.layering));
+  params.num_tours = 0;
+  params.rho = 0.0;  // no evaporation
+  EXPECT_TRUE(layering::is_valid_layering(
+      g, test::solve_result(g, params).layering));
 }
 
 TEST(AcoParams, MaxWidthNeverWedgesTheWalk) {
@@ -143,7 +153,7 @@ TEST(AcoParams, MaxWidthNeverWedgesTheWalk) {
   params.num_ants = 3;
   params.num_tours = 3;
   for (const auto& g : test::random_battery(5)) {
-    const auto result = core::AntColony(g, params).run();
+    const auto result = test::solve_result(g, params);
     EXPECT_TRUE(layering::is_valid_layering(g, result.layering));
   }
 }
@@ -151,12 +161,10 @@ TEST(AcoParams, MaxWidthNeverWedgesTheWalk) {
 TEST(Metrics, EdgeDensityNormalisedBounds) {
   COVERS("acolay::layering::edge_density_normalized");
   for (const auto& g : test::random_battery(6)) {
-    const auto l = core::aco_layering(g, [] {
-      core::AcoParams p;
-      p.num_ants = 3;
-      p.num_tours = 2;
-      return p;
-    }());
+    core::AcoParams params;
+    params.num_ants = 3;
+    params.num_tours = 2;
+    const auto l = test::solve_result(g, params).layering;
     const double norm = layering::edge_density_normalized(g, l);
     EXPECT_GE(norm, 0.0);
     EXPECT_LE(norm, 1.0);

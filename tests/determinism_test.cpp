@@ -20,6 +20,7 @@
 #include "harness/experiment.hpp"
 #include "harness/figures.hpp"
 #include "support/alloc_guard.hpp"
+#include "support/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace acolay {
@@ -47,11 +48,11 @@ TEST(Determinism, ColonyRunIsBitIdenticalAcrossThreadCounts) {
     core::AcoParams params;
     params.seed = 20070325 + gi;
     params.num_threads = 1;
-    const auto reference = core::AntColony(g, params).run();
+    const auto reference = test::solve_result(g, params);
     for (const int threads : thread_counts()) {
       core::AcoParams variant = params;
       variant.num_threads = threads;
-      const auto result = core::AntColony(g, variant).run();
+      const auto result = test::solve_result(g, variant);
       // Bit-identical: the exact same layer for every vertex ...
       ASSERT_EQ(result.layering.num_vertices(),
                 reference.layering.num_vertices());
@@ -197,18 +198,19 @@ TEST(Determinism, SteadyStateColonyTourIsAllocationFree) {
 }
 
 TEST(Determinism, ColonyRerunWithWarmWorkspacesIsBitIdentical) {
-  // run() reuses the colony's per-ant workspaces across calls: a second
-  // run on warm (high-water-sized) buffers must reproduce the first run
-  // bit for bit, at every thread count.
+  // BatchSolver and IncrementalSolver reuse one ColonyWorkspace across
+  // runs: a second run on warm (high-water-sized) buffers must reproduce
+  // the first run bit for bit, at every thread count.
   const auto corpus = seeded_corpus();
   const auto& g = corpus.graphs[corpus.graphs.size() / 2];
+  const graph::CsrView csr(g);
   for (const int threads : thread_counts()) {
     core::AcoParams params;
     params.seed = 20070326;
-    params.num_threads = threads;
-    core::AntColony colony(g, params);
-    const auto cold = colony.run();
-    const auto warm = colony.run();
+    support::ThreadPool pool(static_cast<std::size_t>(threads));
+    core::ColonyWorkspace ws;
+    const auto cold = core::run_colony(g, csr, params, ws, &pool);
+    const auto warm = core::run_colony(g, csr, params, ws, &pool);
     ASSERT_EQ(cold.layering.num_vertices(), warm.layering.num_vertices());
     for (std::size_t v = 0; v < cold.layering.num_vertices(); ++v) {
       ASSERT_EQ(cold.layering.layer(static_cast<graph::VertexId>(v)),
@@ -227,7 +229,7 @@ TEST(Determinism, ColonyRerunWithWarmWorkspacesIsBitIdentical) {
 }
 
 TEST(Determinism, BatchSolverIsBitIdenticalToSequentialAcrossThreadCounts) {
-  // The BatchSolver contract: a batch equals N sequential AntColony::run()
+  // The BatchSolver contract: a batch equals N sequential core::solve
   // calls bit for bit, at any worker count. Whole corpus, full results
   // (layering, metrics doubles, trace).
   const auto corpus = seeded_corpus();
@@ -240,11 +242,11 @@ TEST(Determinism, BatchSolverIsBitIdenticalToSequentialAcrossThreadCounts) {
   for (std::size_t gi = 0; gi < corpus.graphs.size(); ++gi) {
     core::AcoParams p = params;
     p.seed = 20070325 + gi;
-    reference.push_back(core::AntColony(corpus.graphs[gi], p).run());
+    reference.push_back(test::solve_result(corpus.graphs[gi], p));
   }
 
   for (const int threads : thread_counts()) {
-    core::BatchSolver solver(core::BatchOptions{threads, false});
+    core::BatchSolver solver(core::BatchOptions{.num_threads = threads});
     std::vector<core::BatchJobId> ids;
     for (std::size_t gi = 0; gi < corpus.graphs.size(); ++gi) {
       core::AcoParams p = params;
@@ -284,7 +286,7 @@ TEST(Determinism, BatchSolverIsStableUnderSubmissionPermutation) {
     return p;
   };
 
-  core::BatchSolver forward(core::BatchOptions{4, false});
+  core::BatchSolver forward(core::BatchOptions{.num_threads = 4});
   std::vector<core::BatchJobId> forward_ids(corpus.graphs.size());
   for (std::size_t gi = 0; gi < corpus.graphs.size(); ++gi) {
     forward_ids[gi] =
@@ -292,7 +294,7 @@ TEST(Determinism, BatchSolverIsStableUnderSubmissionPermutation) {
   }
 
   // Reverse order: the largest graphs now warm the workspaces first.
-  core::BatchSolver backward(core::BatchOptions{4, false});
+  core::BatchSolver backward(core::BatchOptions{.num_threads = 4});
   std::vector<core::BatchJobId> backward_ids(corpus.graphs.size());
   for (std::size_t gi = corpus.graphs.size(); gi-- > 0;) {
     backward_ids[gi] =
@@ -300,26 +302,30 @@ TEST(Determinism, BatchSolverIsStableUnderSubmissionPermutation) {
   }
 
   for (std::size_t gi = 0; gi < corpus.graphs.size(); ++gi) {
+    const auto reference =
+        test::solve_result(corpus.graphs[gi], job_params(gi));
     const auto& a = test::wait_result(forward, forward_ids[gi]);
     const auto& b = test::wait_result(backward, backward_ids[gi]);
-    ASSERT_EQ(a.layering, b.layering) << "graph " << gi;
-    EXPECT_EQ(a.metrics.objective, b.metrics.objective);
-    EXPECT_EQ(a.metrics.dummy_count, b.metrics.dummy_count);
+    for (const auto* result : {&a, &b}) {
+      ASSERT_EQ(result->layering, reference.layering) << "graph " << gi;
+      EXPECT_EQ(result->metrics.objective, reference.metrics.objective);
+      EXPECT_EQ(result->metrics.dummy_count, reference.metrics.dummy_count);
+    }
   }
 }
 
 TEST(Determinism, BatchWorkerWorkspacesCarryNoCrossGraphState) {
   // A worker's ColonyWorkspace is reused job after job; beyond buffer
   // capacity it must carry nothing. Solve the corpus, then re-solve every
-  // graph through the same (now maximally warmed) solver and through a
-  // cold one: all three runs must agree bit for bit.
+  // graph through the same (now maximally warmed) solver and through
+  // core::solve: all three runs must agree bit for bit.
   const auto corpus = seeded_corpus();
   core::AcoParams params;
   params.num_ants = 4;
   params.num_tours = 3;
   params.seed = 31337;
 
-  core::BatchSolver warm(core::BatchOptions{2, false});
+  core::BatchSolver warm(core::BatchOptions{.num_threads = 2});
   std::vector<core::BatchJobId> first_ids;
   for (const auto& g : corpus.graphs) {
     first_ids.push_back(test::submit_request(warm, g, params));
@@ -334,9 +340,7 @@ TEST(Determinism, BatchWorkerWorkspacesCarryNoCrossGraphState) {
     ASSERT_EQ(first.layering, rerun.layering) << "graph " << gi;
     EXPECT_EQ(first.metrics.objective, rerun.metrics.objective);
 
-    core::BatchSolver cold(core::BatchOptions{1, false});
-    const auto& fresh = test::wait_result(
-        cold, test::submit_request(cold, corpus.graphs[gi], params));
+    const auto fresh = test::solve_result(corpus.graphs[gi], params);
     ASSERT_EQ(first.layering, fresh.layering) << "graph " << gi;
     EXPECT_EQ(first.metrics.objective, fresh.metrics.objective);
   }

@@ -78,7 +78,7 @@ TEST(Integration, JsonReportForAcoResultIsBalanced) {
   core::AcoParams params;
   params.num_ants = 4;
   params.num_tours = 3;
-  const auto result = core::hybrid_aco_layering(g, params);
+  const auto result = core::hybrid_layering(g, params);
   const auto json = io::layering_report_json(g, result.layering);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
@@ -89,12 +89,10 @@ TEST(Integration, JsonReportForAcoResultIsBalanced) {
 
 TEST(Integration, AsciiAndSvgAgreeOnLayerStructure) {
   const auto g = test::random_battery(1, 55).front();
-  const auto l = core::aco_layering(g, [] {
-    core::AcoParams p;
-    p.num_ants = 4;
-    p.num_tours = 3;
-    return p;
-  }());
+  core::AcoParams params;
+  params.num_ants = 4;
+  params.num_tours = 3;
+  const auto l = test::solve_result(g, params).layering;
   const auto ascii = sugiyama::render_ascii(g, l);
   // One "Lk|" row per occupied layer.
   std::size_t rows = 0, pos = 0;
@@ -147,7 +145,7 @@ TEST(Integration, StretchedWalkStateStaysConsistentOverLongRuns) {
   params.num_tours = 15;
   params.stagnation = core::StagnationPolicy::kResetPheromone;
   params.dummy_width = 0.7;
-  const auto result = core::AntColony(g, params).run();
+  const auto result = test::solve_result(g, params);
   EXPECT_TRUE(layering::is_valid_layering(g, result.layering));
   const auto recomputed = layering::compute_metrics(
       g, result.layering, layering::MetricsOptions{0.7});

@@ -92,7 +92,7 @@ INSTANTIATE_TEST_SUITE_P(CorpusGraphs, OracleCrosscheckTest,
 
 TEST_P(OracleCrosscheckTest, AntColonyLayeringIsValidAndMetricsConsistent) {
   const auto& g = graph();
-  const auto result = core::AntColony(g, oracle_aco_params(GetParam())).run();
+  const auto result = test::solve_result(g, oracle_aco_params(GetParam()));
   EXPECT_EQ(layering::validate_layering(g, result.layering), "");
 
   // The reported metrics must equal a from-scratch recomputation on the
@@ -109,7 +109,7 @@ TEST_P(OracleCrosscheckTest, AntColonyLayeringIsValidAndMetricsConsistent) {
 
 TEST_P(OracleCrosscheckTest, AntColonyNeverBeatsBruteForceObjective) {
   const auto& g = graph();
-  const auto result = core::AntColony(g, oracle_aco_params(GetParam())).run();
+  const auto result = test::solve_result(g, oracle_aco_params(GetParam()));
   const double optimum = oracle_max_objective(GetParam());
   // The oracle enumerates every normalized layering, so no search result
   // can exceed it (ties are legitimate: the colony often finds an
@@ -123,7 +123,7 @@ TEST_P(OracleCrosscheckTest, AntColonyNeverBeatsBruteForceObjective) {
 
 TEST_P(OracleCrosscheckTest, AntColonyWidthRespectsBruteForceMinimum) {
   const auto& g = graph();
-  const auto result = core::AntColony(g, oracle_aco_params(GetParam())).run();
+  const auto result = test::solve_result(g, oracle_aco_params(GetParam()));
   // brute_force_min_width minimises over every layering, so it lower-bounds
   // the width of any valid layering the search can return.
   EXPECT_GE(result.metrics.width_incl_dummies,
@@ -136,7 +136,7 @@ TEST_P(OracleCrosscheckTest, BatchSolverMatchesSequentialAndRespectsOracle) {
   core::BatchSolver solver;
   const auto& batch =
       test::wait_result(solver, test::submit_request(solver, g, params));
-  const auto sequential = core::AntColony(g, params).run();
+  const auto sequential = test::solve_result(g, params);
 
   EXPECT_EQ(batch.layering, sequential.layering);
   EXPECT_EQ(batch.metrics.objective, sequential.metrics.objective);

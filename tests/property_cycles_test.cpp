@@ -11,7 +11,8 @@
 //    reversal set,
 //  * end-to-end solves under both admitting policies are bit-identical
 //    across thread counts, reruns, and entry points (core::solve,
-//    BatchSolver, AntColony), and the default policy still rejects.
+//    BatchSolver, IncrementalSolver), and the default policy still
+//    rejects.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +22,7 @@
 #include <vector>
 
 #include "core/batch.hpp"
-#include "core/colony.hpp"
+#include "core/incremental.hpp"
 #include "core/request.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/cycle_removal.hpp"
@@ -140,7 +141,7 @@ core::SolveOutcome solve_via_batch(const graph::Digraph& g,
                                    const core::AcoParams& params,
                                    core::CyclePolicy policy,
                                    int num_threads) {
-  core::BatchSolver solver(core::BatchOptions{num_threads, false});
+  core::BatchSolver solver(core::BatchOptions{.num_threads = num_threads});
   core::SolveRequest request;
   request.graph = &g;
   request.params = params;
@@ -179,11 +180,13 @@ TEST(PropertyCycles, SolvesBitIdenticalAcrossThreadCountsAndEntryPoints) {
         EXPECT_EQ(other->result.layering, direct.result.layering);
         EXPECT_EQ(other->reversed_edges, direct.reversed_edges);
       }
-      // AntColony is the third entry point sharing Phase 0.
-      core::AntColony colony(g, params, policy);
-      const auto colony_result = colony.run();
-      EXPECT_EQ(colony_result.layering, direct.result.layering);
-      EXPECT_EQ(colony.reversed_edges(), direct.reversed_edges);
+      // IncrementalSolver is the third entry point sharing Phase 0.
+      core::IncrementalSolver incremental(g, params,
+                                          {.cycle_policy = policy});
+      const auto& cold = incremental.solve();
+      ASSERT_TRUE(cold.ok()) << cold.message;
+      EXPECT_EQ(cold.result.layering, direct.result.layering);
+      EXPECT_EQ(cold.reversed_edges, direct.reversed_edges);
     }
   }
 }

@@ -2,7 +2,7 @@
 // requests are shed before their colony runs, priorities are honored
 // under a full queue, overload turns into structured backpressure, dedup
 // collapses only *exactly* equal requests, and — the headline — a served
-// stream is bit-identical to direct BatchSolver::solve_all over the same
+// stream is bit-identical to direct core::solve calls over the same
 // (graph, params), at any thread count.
 #include "server/session.hpp"
 
@@ -82,6 +82,50 @@ TEST(ServerSession, AnswersAValidRequestWithItsLayering) {
   EXPECT_GE(require_field(doc, "layering", "height").as_int64(), 4);
   EXPECT_NE(doc.find("metrics"), nullptr);
   EXPECT_EQ(server.outstanding(), 0u);
+}
+
+TEST(ServerSession, KeepsRecordsOnlyForUnansweredFrames) {
+  // A long-lived daemon must not keep a record per frame it ever answered:
+  // over a few thousand mixed frames (solves, dedup repeats, rejects, warm
+  // solves and delta updates) the retained record count never exceeds the
+  // frames still awaiting their response, and drains to zero.
+  const graph::Digraph g = wire_normalized(test::diamond());
+  Server server(with_threads(2));
+  server.push_line(frame("w0", g, 1, 5, FrameOpts{.warm = true}));
+  server.drain();
+  const auto warm = server.take_responses();
+  ASSERT_EQ(warm.size(), 1u);
+  const std::string fp0 =
+      require_field(parse_response(warm[0]), "fingerprint").as_string();
+  graph::GraphDelta delta;
+  delta.set_widths.push_back(graph::WidthChange{0, 2.0});
+
+  std::size_t pushed = 0;
+  std::size_t answered = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::string id = "f";
+    id += std::to_string(i);
+    if (i % 10 == 9) {
+      server.push_line("not a frame");
+    } else if (i % 10 == 4) {
+      server.push_line(delta_frame(id, fp0, delta));
+    } else if (i % 100 == 7) {
+      server.push_line(frame(id, g, 1, 5, FrameOpts{.warm = true}));
+    } else {
+      server.push_line(frame(id, g, 1, 1 + i % 50));  // repeats dedup
+    }
+    ++pushed;
+    if (i % 16 == 15) server.drain();
+    server.step();
+    answered += server.take_responses().size();
+    ASSERT_LE(server.num_records(), pushed - answered) << "frame " << i;
+  }
+  server.drain();
+  answered += server.take_responses().size();
+  EXPECT_EQ(answered, pushed);
+  EXPECT_EQ(server.num_records(), 0u);
+  EXPECT_GT(server.stats().delta_updates, 0u);
+  EXPECT_GT(server.stats().dedup_shared + server.stats().dedup_cached, 0u);
 }
 
 TEST(ServerSession, MalformedAndInvalidFramesGetStructuredRejections) {
@@ -293,9 +337,9 @@ TEST(ServerSession, WarmRequestsReuseTheSlotAndSkipDedup) {
 
 TEST(ServerSession, ServedStreamIsBitIdenticalToDirectBatchSolve) {
   // The headline contract, at thread counts {1, 4, hardware}: every served
-  // layering (and objective) equals a direct BatchSolver::solve_all over
-  // the same graphs and params, and the transcript bytes are identical
-  // across thread counts.
+  // layering (and objective) equals a direct core::solve of the same
+  // graph and params, and the transcript bytes are identical across
+  // thread counts.
   const auto raw_battery = test::random_battery(8, 0x5e21);
   std::vector<graph::Digraph> graphs;
   std::vector<core::AcoParams> params;
@@ -312,8 +356,10 @@ TEST(ServerSession, ServedStreamIsBitIdenticalToDirectBatchSolve) {
     frames.push_back(frame(id, graphs.back(), 3, 100 + i));
   }
 
-  core::BatchSolver direct(core::BatchOptions{.num_threads = 2});
-  const auto expected = direct.solve_all(graphs, params);
+  std::vector<core::AcoResult> expected;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    expected.push_back(test::solve_result(graphs[i], params[i]));
+  }
 
   std::vector<std::vector<std::string>> transcripts;
   for (const int threads : {1, 4, 0}) {

@@ -1,12 +1,12 @@
 // Tests for greedy-FAS cycle removal.
-#include "sugiyama/cycle_removal.hpp"
+#include "graph/cycle_removal.hpp"
 
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
 #include "test_util.hpp"
 
-namespace acolay::sugiyama {
+namespace acolay::graph {
 namespace {
 
 TEST(CycleRemoval, DagPassesThroughUnchanged) {
@@ -84,4 +84,4 @@ TEST(CycleRemoval, PreservesAttributes) {
 }
 
 }  // namespace
-}  // namespace acolay::sugiyama
+}  // namespace acolay::graph

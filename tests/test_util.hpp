@@ -15,9 +15,8 @@
 
 namespace acolay::test {
 
-/// Structured-path submit for tests: wraps (g, params) in a SolveRequest
-/// — the request-surface counterpart of the deprecated submit(g, params)
-/// shim. The graph must outlive the job (the solver borrows it).
+/// Submit for tests: wraps (g, params) in a SolveRequest. The graph must
+/// outlive the job (the solver borrows it).
 inline core::BatchJobId submit_request(core::BatchSolver& solver,
                                        const graph::Digraph& g,
                                        const core::AcoParams& params) {
@@ -27,7 +26,17 @@ inline core::BatchJobId submit_request(core::BatchSolver& solver,
   return solver.submit(request);
 }
 
-/// Structured-path wait for tests that expect success: throws CheckError
+/// core::solve for tests that expect success: throws CheckError on a
+/// rejected outcome (making the test fail loudly) and returns the result
+/// otherwise.
+inline core::AcoResult solve_result(const graph::Digraph& g,
+                                    const core::AcoParams& params = {}) {
+  core::SolveOutcome outcome = core::solve({.graph = &g, .params = params});
+  ACOLAY_CHECK_MSG(outcome.ok(), "solve failed: " << outcome.message);
+  return std::move(outcome.result);
+}
+
+/// Wait for tests that expect success: throws CheckError
 /// on a rejected/failed outcome (making the test fail loudly) and returns
 /// the solver-owned result otherwise.
 inline const core::AcoResult& wait_result(core::BatchSolver& solver,
